@@ -142,6 +142,8 @@ class Gate:
             raise ValueError(f"targets {self.targets} and controls {self.controls} overlap")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets in {self.targets}")
+        if len(set(self.controls)) != len(self.controls):
+            raise ValueError(f"duplicate controls in {self.controls}")
         if len(self.param_refs) != self.kind.arity:
             raise ValueError(
                 f"{type(self.kind).__name__} consumes {self.kind.arity} parameter(s), "

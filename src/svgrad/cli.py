@@ -99,17 +99,28 @@ def _cmd_grad(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_reps(spec: str) -> list[int]:
+    try:
+        return [int(t) for t in spec.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError(f"--reps takes comma-separated integers, got {spec!r}") from None
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    reps_values = [int(t) for t in args.reps.split(",") if t.strip()]
-    methods = [t.strip() for t in args.methods.split(",") if t.strip()]
-    records, fits = run_benchmark(
-        family=args.family,
-        num_qubits=args.qubits,
-        reps_values=reps_values,
-        methods=methods,
-        repetitions=args.repetitions,
-        seed=args.seed,
-    )
+    try:
+        reps_values = _parse_reps(args.reps)
+        methods = [t.strip() for t in args.methods.split(",") if t.strip()]
+        records, fits = run_benchmark(
+            family=args.family,
+            num_qubits=args.qubits,
+            reps_values=reps_values,
+            methods=methods,
+            repetitions=args.repetitions,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         write_csv(args.output, records, fits)
     except OSError as exc:

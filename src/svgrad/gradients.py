@@ -95,6 +95,11 @@ def _check_call(circuit: Circuit, params, obs: Observable, input_state: StateVec
         raise ValueError(
             f"parameter table has {circuit.num_params} entries, got shape {params.shape}"
         )
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise ValueError(
+            "non-finite parameter values: " + ", ".join(f"p{k}={params[k]}" for k in bad)
+        )
     if obs.num_qubits != circuit.num_qubits:
         raise ValueError(
             f"observable acts on {obs.num_qubits} qubits, circuit on {circuit.num_qubits}"

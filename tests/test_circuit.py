@@ -300,6 +300,11 @@ def test_gate_validation():
         Gate(FixedUnitary(np.eye(2), "i"), (0, 0), (), ())  # duplicate targets
 
 
+def test_gate_rejects_duplicate_controls():
+    with pytest.raises(ValueError, match="duplicate controls"):
+        Gate(PauliRotation("X"), (0,), (1, 1), (0,))
+
+
 def test_circuit_validation():
     with pytest.raises(ValueError):
         Circuit(1, (rx(1, 0),), 1)  # qubit out of range

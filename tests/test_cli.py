@@ -97,6 +97,15 @@ def test_grad_dimension_mismatch(tmp_path, capsys):
     assert cli.main(["grad", circ, "z_all", "0.1,0.2"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_grad_non_finite_parameter(tmp_path, capsys, value):
+    circ = write(tmp_path, "ry.circ", RY_CIRCUIT)
+    params = write(tmp_path, "theta.txt", f"{value}\n")
+    assert cli.main(["grad", circ, "z_all", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite parameter values: p0=")
+
 def test_grad_missing_file(tmp_path, capsys):
     assert cli.main(["grad", str(tmp_path / "nope.circ"), "z_all", "0.1"]) == 2
 
@@ -144,6 +153,26 @@ def test_bench_unwritable_output(tmp_path, capsys):
     )
     assert code == 4
 
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--reps", "x", "--reps takes comma-separated integers"),
+        ("--qubits", "0", "at least one qubit"),
+        ("--methods", "foo", "unknown method 'foo'"),
+    ],
+)
+def test_bench_bad_argument_exit_code(tmp_path, capsys, flag, value, message):
+    args = {"--family": "A", "--qubits": "2", "--reps": "1", "--methods": "reverse"}
+    args[flag] = value
+    argv = ["bench", "--repetitions", "1", "--output", str(tmp_path / "x.csv")]
+    for key, val in args.items():
+        argv += [key, val]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
 
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0

@@ -276,6 +276,17 @@ def test_hermitian_contract_errors():
         reference_gradient(circuit, [0.1], obs, init_basis_state(1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "engine",
+    [reverse_mode_gradient, reference_gradient, non_hermitian_gradient, finite_difference_gradient],
+)
+def test_non_finite_parameters_rejected(engine, bad):
+    circuit = Circuit(2, (ry(0, 0), rx(1, 1)), 2)
+    with pytest.raises(ValueError, match="non-finite parameter values: p1="):
+        engine(circuit, [0.3, bad], builtin_observable("z_all", 2), init_basis_state(2))
+
+
 # -- finite differences ----------------------------------------------------------------
 
 def test_fd_constant_circuit_is_zero():

@@ -1,8 +1,13 @@
 """State-vector primitives: construction, kernels, projections, inner products."""
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+import svgrad.statevector as sv
 from svgrad.gates import H, I2, X, rotation_matrix
 from svgrad.gradients import OpCounters
 from svgrad.statevector import (
@@ -244,3 +249,201 @@ def test_inner_product_counter():
     counters = OpCounters()
     inner_product(init_basis_state(1), init_basis_state(1), counters)
     assert counters.inner_products == 1
+
+
+# -- every kernel placement against independent oracles -------------------------
+
+
+
+def _matrix(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
+    entries = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if kind == "diagonal":
+        return np.diag(np.diagonal(entries))
+    if kind == "anti-diagonal":
+        return np.fliplr(np.diag(np.diagonal(entries)))
+    if kind == "unitary":
+        return unitary_group.rvs(dim, random_state=rng)
+    return entries  # general, not unitary
+
+
+MATRIX_KINDS = ("diagonal", "anti-diagonal", "unitary", "non-unitary")
+
+
+def _placements(num_qubits: int, num_targets: int):
+    """Every ordered target tuple with every set of 0-2 other qubits as controls,
+    so controls fall above, below and between the targets."""
+    for targets in itertools.permutations(range(num_qubits), num_targets):
+        others = [q for q in range(num_qubits) if q not in targets]
+        for r in range(3):
+            for controls in itertools.combinations(others, r):
+                yield targets, controls
+
+
+@pytest.fixture(params=["gather", "views"])
+def kernel(request, monkeypatch):
+    """Run a small-state test through the gather kernel or through the view kernel."""
+    if request.param == "views":
+        monkeypatch.setattr(sv, "_GATHER_MAX_AMPS", 0)
+    return request.param
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+@pytest.mark.parametrize("num_targets", [1, 2])
+@pytest.mark.parametrize("num_qubits", [3, 4, 5, 6, 7])
+def test_every_placement_matches_dense_oracle(num_qubits, num_targets, kind, kernel):
+    from conftest import embed_operator
+
+    rng = np.random.default_rng([num_qubits, num_targets, MATRIX_KINDS.index(kind)])
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    for targets, controls in _placements(num_qubits, num_targets):
+        m = _matrix(kind, 1 << num_targets, rng)
+        state = StateVector(num_qubits, amps.copy())
+        apply_matrix(state, m, targets, controls)
+        expected = embed_operator(m, targets, controls, num_qubits) @ amps
+        np.testing.assert_allclose(
+            state.amplitudes, expected, rtol=0, atol=1e-12,
+            err_msg=f"targets={targets} controls={controls}",
+        )
+
+
+@pytest.mark.parametrize("num_qubits", [3, 4, 5, 6, 7])
+def test_every_projection_matches_bit_oracle(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    for r in (1, 2, 3):
+        for qubits in itertools.permutations(range(num_qubits), r):
+            state = StateVector(num_qubits, amps.copy())
+            project_to_one(state, qubits)
+            keep = [all((i >> q) & 1 for q in qubits) for i in range(1 << num_qubits)]
+            assert np.array_equal(state.amplitudes, np.where(keep, amps, 0)), qubits
+
+
+def _einsum_oracle(amps, num_qubits, m, targets, controls):
+    """Contract ``m`` into the (2,)*N tensor with einsum; controls select by mask."""
+    psi = amps.reshape((2,) * num_qubits)  # axis j holds qubit N-1-j
+    letters = [chr(ord("a") + j) for j in range(num_qubits)]
+    out = list(letters)
+    fresh = iter("ABCD")
+    for t in targets:
+        out[num_qubits - 1 - t] = next(fresh)
+    # m's row and column sub-index has bit k on targets[k]: most significant first
+    order = [num_qubits - 1 - t for t in reversed(targets)]
+    m_sub = "".join(out[j] for j in order) + "".join(letters[j] for j in order)
+    moved = np.einsum(
+        f"{m_sub},{''.join(letters)}->{''.join(out)}",
+        m.reshape((2,) * (2 * len(targets))),
+        psi,
+    )
+    mask = np.ones((2,) * num_qubits, dtype=bool)
+    for c in controls:
+        index = [slice(None)] * num_qubits
+        index[num_qubits - 1 - c] = 0
+        mask[tuple(index)] = False
+    return np.where(mask, moved, psi).reshape(-1)
+
+
+# Large states take the view kernel; these placements reach each of its paths:
+# tiled and half-wise diagonals, the rows, matmul and block paths, controls
+# above, below and between targets, two targets in both orders, top targets.
+LARGE_CASES = [
+    (13, "diagonal", (0,), ()),
+    (13, "diagonal", (3,), (9,)),
+    (13, "diagonal", (5,), (2,)),
+    (13, "diagonal", (12,), ()),
+    (14, "diagonal", (13,), ()),
+    (14, "diagonal", (13,), (0, 6)),
+    (13, "anti-diagonal", (0,), (1,)),
+    (13, "anti-diagonal", (11,), (12,)),
+    (13, "unitary", (0,), ()),
+    (13, "unitary", (1,), (7,)),
+    (13, "non-unitary", (2,), ()),
+    (13, "non-unitary", (2,), (4, 12)),
+    (13, "unitary", (4,), ()),
+    (13, "non-unitary", (6,), (8,)),
+    (13, "unitary", (7,), ()),
+    (13, "non-unitary", (9,), (10,)),
+    (13, "unitary", (12,), ()),
+    (13, "non-unitary", (12,), (0,)),
+    (13, "unitary", (5,), (0, 11)),
+    (13, "non-unitary", (8,), (3, 5)),
+    (13, "unitary", (0, 12), ()),
+    (13, "non-unitary", (12, 0), (6,)),
+    (13, "diagonal", (3, 4), (1, 10)),
+    (14, "anti-diagonal", (9, 2), (5,)),
+]
+
+
+@pytest.mark.parametrize("num_qubits,kind,targets,controls", LARGE_CASES)
+def test_large_state_paths_match_einsum_oracle(num_qubits, kind, targets, controls):
+    rng = np.random.default_rng([num_qubits, *targets, *controls])
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    m = _matrix(kind, 1 << len(targets), rng)
+    state = StateVector(num_qubits, amps.copy())
+    apply_matrix(state, m, targets, controls)
+    expected = _einsum_oracle(amps, num_qubits, m, targets, controls)
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("qubits", [(0,), (12,), (5, 0), (3, 12, 7), (13, 1)])
+def test_large_state_projection(qubits):
+    n = 14
+    rng = np.random.default_rng(len(qubits))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = StateVector(n, amps.copy())
+    project_to_one(state, qubits)
+    index = np.arange(1 << n)
+    keep = np.ones(1 << n, dtype=bool)
+    for q in qubits:
+        keep &= (index >> q) & 1 == 1
+    assert np.array_equal(state.amplitudes, np.where(keep, amps, 0))
+
+
+def test_duplicate_controls_rejected():
+    with pytest.raises(ValueError, match="duplicate control"):
+        apply_matrix(init_basis_state(3), X, (0,), controls=(1, 1))
+
+
+@pytest.mark.parametrize("num_qubits", [6, 14])
+def test_threads_on_distinct_states_match_serial_run(num_qubits):
+    """States are single-writer, so threads driving distinct states must not
+    interfere: any scratch buffer or cache the kernel shared would show here."""
+    rng = np.random.default_rng(num_qubits)
+    gates = []
+    for _ in range(60):
+        targets = tuple(rng.choice(num_qubits, size=rng.integers(1, 3), replace=False))
+        others = [q for q in range(num_qubits) if q not in targets]
+        controls = tuple(rng.choice(others, size=rng.integers(0, 3), replace=False))
+        kind = MATRIX_KINDS[rng.integers(len(MATRIX_KINDS))]
+        gates.append((_matrix(kind, 1 << len(targets), rng) / 2, targets, controls))
+    inputs = [
+        rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+        for _ in range(4)  # more threads than the two cores CI machines tend to have
+    ]
+
+    def run(amps):
+        state = StateVector(num_qubits, amps.copy())
+        for _ in range(3):
+            for m, targets, controls in gates:
+                apply_matrix(state, m, targets, controls)
+            project_to_one(state, gates[0][1])
+        return state.amplitudes
+
+    serial = [run(amps) for amps in inputs]
+    results = [None] * len(inputs)
+
+    def worker(i):
+        results[i] = run(inputs[i])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for got, want in zip(results, serial):
+        assert np.array_equal(got, want)
