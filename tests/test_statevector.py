@@ -253,8 +253,6 @@ def test_inner_product_counter():
 
 # -- every kernel placement against independent oracles -------------------------
 
-
-
 def _matrix(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     entries = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     if kind == "diagonal":
