@@ -420,7 +420,7 @@ def test_threads_on_distinct_states_match_serial_run(num_qubits):
 
     def run(amps):
         state = StateVector(num_qubits, amps.copy())
-        for _ in range(3):
+        for _ in range(10):
             for m, targets, controls in gates:
                 apply_matrix(state, m, targets, controls)
             project_to_one(state, gates[0][1])
@@ -428,8 +428,10 @@ def test_threads_on_distinct_states_match_serial_run(num_qubits):
 
     serial = [run(amps) for amps in inputs]
     results = [None] * len(inputs)
+    start = threading.Barrier(len(inputs), timeout=60)
 
     def worker(i):
+        start.wait()  # all threads enter the kernels together
         results[i] = run(inputs[i])
 
     old = sys.getswitchinterval()
