@@ -7,8 +7,9 @@ index; an index may appear in any number of gates.
 Gate derivatives follow a deferred-scalar convention: applying the
 derivative of a gate mutates the state up to a complex factor which is
 returned instead of multiplied in, so the caller can fold it into a final
-inner product. Rotation derivatives apply the Pauli product then the bound
-rotation and defer alpha*i; the phase-gate derivative is a projection onto
+inner product. A rotation derivative is one kernel call with the matrix
+U @ P, the bound rotation times its Pauli product (diagonal for Z axes),
+and defers alpha*i; the phase-gate derivative is a projection onto
 the target's |1> with deferred i*e^{i theta}; entry-wise matrix kinds apply
 the (analytic or finite-difference) matrix derivative with deferred 1. With
 controls present, the derivative action ends by zeroing every amplitude
@@ -16,7 +17,6 @@ whose control bits are not all 1.
 """
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -269,46 +269,44 @@ def apply_gate_adjoint(state: StateVector, gate: Gate, params, counters=None) ->
     apply_matrix(state, m.conj().T, gate.targets, gate.controls, counters)
 
 
+def rewind_matrix(gate: Gate, m: np.ndarray, gate_index: int | None = None) -> np.ndarray:
+    """The matrix that undoes ``gate`` bound to ``m``.
+
+    That is the adjoint, or for a NonUnitary gate the true inverse. A
+    singular NonUnitary matrix raises NonInvertibleGateError, which names
+    ``gate_index`` when given.
+    """
+    if not isinstance(gate.kind, NonUnitary):
+        return m.conj().T
+    try:
+        return g.invert_small_matrix(m)
+    except ValueError as exc:
+        where = "" if gate_index is None else f" {gate_index}"
+        raise NonInvertibleGateError(f"non-invertible gate{where}: {exc}") from exc
+
+
 def apply_gate_inverse(
     state: StateVector, gate: Gate, params, counters=None, gate_index: int | None = None
 ) -> None:
     """state <- U(theta)^{-1} state; identical to the adjoint for unitary kinds."""
-    if isinstance(gate.kind, NonUnitary):
-        m = gate_matrix(gate, params)
-        try:
-            inv = g.invert_small_matrix(m)
-        except ValueError as exc:
-            where = "" if gate_index is None else f" {gate_index}"
-            raise NonInvertibleGateError(f"non-invertible gate{where}: {exc}") from exc
-        apply_matrix(state, inv, gate.targets, gate.controls, counters)
-    else:
-        apply_gate_adjoint(state, gate, params, counters)
-
-
-# Test hook: scales every deferred derivative scalar. The selftest negative
-# control perturbs this to prove the oracle checks can fail.
-_DERIV_SCALE = 1.0
-
-
-@contextlib.contextmanager
-def perturbed_derivative_scale(scale: float):
-    global _DERIV_SCALE
-    old = _DERIV_SCALE
-    _DERIV_SCALE = scale
-    try:
-        yield
-    finally:
-        _DERIV_SCALE = old
+    m = rewind_matrix(gate, gate_matrix(gate, params), gate_index)
+    apply_matrix(state, m, gate.targets, gate.controls, counters)
 
 
 def apply_gate_derivative(
-    state: StateVector, gate: Gate, params, which_param: int = 0, counters=None
+    state: StateVector,
+    gate: Gate,
+    params,
+    which_param: int = 0,
+    counters=None,
+    matrix: np.ndarray | None = None,
 ) -> complex:
     """state <- (dU/d theta_local) state up to the returned deferred scalar.
 
     The caller must multiply the eventual inner product by the returned
     complex factor. Performs O(1) matrix/projection applications whatever
-    the gate kind.
+    the gate kind. ``matrix``, when given, must be ``gate_matrix(gate,
+    params)``; a rotation then reuses it instead of binding again.
     """
     kind = gate.kind
     if kind.arity == 0:
@@ -316,10 +314,10 @@ def apply_gate_derivative(
     if not 0 <= which_param < kind.arity:
         raise ValueError(f"local parameter {which_param} out of range for arity {kind.arity}")
     if isinstance(kind, PauliRotation):
-        for axis, t in zip(kind.axes, gate.targets):
-            apply_matrix(state, g.PAULI[axis], (t,))
-        theta = float(params[gate.param_refs[0]])
-        apply_matrix(state, g.rotation_matrix(kind.axes, theta, kind.alpha), gate.targets)
+        if matrix is None:
+            matrix = gate_matrix(gate, params)
+        # dU/dtheta = alpha i U P, with P the gate's Pauli product
+        apply_matrix(state, matrix @ g.pauli_product(kind.axes), gate.targets)
         scalar = kind.alpha * 1j
     elif isinstance(kind, Phase):
         project_to_one(state, gate.targets)
@@ -333,7 +331,7 @@ def apply_gate_derivative(
         project_to_one(state, gate.controls)
     if counters is not None:
         counters.derivative_applies += 1
-    return complex(scalar) * _DERIV_SCALE
+    return complex(scalar)
 
 
 # -- text format ---------------------------------------------------------------

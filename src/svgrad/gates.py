@@ -1,8 +1,10 @@
 """Gate matrices and helpers for 2x2 and 4x4 complex matrices."""
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -34,20 +36,28 @@ def kron_le(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
 def pauli_product(axes: str) -> np.ndarray:
-    """Tensor product of Paulis, axes[k] on joint-index bit k."""
-    return kron_le([PAULI[a] for a in axes])
+    """Tensor product of Paulis, axes[k] on joint-index bit k.
+
+    Cached per axes string and read-only, since every caller shares it.
+    """
+    p = kron_le([PAULI[a] for a in axes]).copy()
+    p.flags.writeable = False
+    return p
 
 
 def rotation_matrix(axes: str, theta: float, alpha: float = -0.5) -> np.ndarray:
     """exp(alpha * i * theta * P) for a Pauli product P.
 
     P squares to the identity, so the exponential closes to
-    cos(alpha*theta) I + i sin(alpha*theta) P.
+    cos(alpha*theta) I + i sin(alpha*theta) P; both I and P come from the
+    ``pauli_product`` cache.
     """
-    p = pauli_product(axes)
-    dim = p.shape[0]
-    return np.cos(alpha * theta) * np.eye(dim) + 1j * np.sin(alpha * theta) * p
+    angle = alpha * theta
+    return math.cos(angle) * pauli_product("I" * len(axes)) + (
+        1j * math.sin(angle)
+    ) * pauli_product(axes)
 
 
 def phase_matrix(theta: float) -> np.ndarray:

@@ -37,12 +37,11 @@ import numpy as np
 
 from .circuit import (
     Circuit,
-    NonInvertibleGateError,
     NonUnitary,
     apply_gate_derivative,
     gate_matrix,
+    rewind_matrix,
 )
-from .gates import invert_small_matrix
 from .observable import Observable, adjoint_observable, apply_observable, expectation
 from .statevector import StateVector, apply_matrix, clone_state, inner_product
 
@@ -116,20 +115,6 @@ def _bind(circuit: Circuit, params: np.ndarray) -> list[np.ndarray]:
     return [gate_matrix(gate, params) for gate in circuit.gates]
 
 
-def _rewind_matrices(circuit: Circuit, bound: list[np.ndarray], adjoints: list[np.ndarray]):
-    """Per-gate matrices that undo each gate: adjoint, or true inverse when non-unitary."""
-    rewinds = []
-    for i, gate in enumerate(circuit.gates):
-        if isinstance(gate.kind, NonUnitary):
-            try:
-                rewinds.append(invert_small_matrix(bound[i]))
-            except ValueError as exc:
-                raise NonInvertibleGateError(f"non-invertible gate {i}: {exc}") from exc
-        else:
-            rewinds.append(adjoints[i])
-    return rewinds
-
-
 def _reverse_sweep(
     circuit: Circuit,
     params: np.ndarray,
@@ -144,8 +129,14 @@ def _reverse_sweep(
     Callers turn the sums into gradients (2 Re for a Hermitian operator).
     """
     bound = _bind(circuit, params)
-    adjoints = [m.conj().T for m in bound]
-    rewinds = _rewind_matrices(circuit, bound, adjoints)
+    rewinds = [
+        rewind_matrix(gate, m, i) for i, (gate, m) in enumerate(zip(circuit.gates, bound))
+    ]
+    # the bra rewinds with adjoints, which differ from the rewinds only for NonUnitary gates
+    adjoints = [
+        m.conj().T if isinstance(gate.kind, NonUnitary) else r
+        for gate, m, r in zip(circuit.gates, bound, rewinds)
+    ]
     sums = np.zeros(circuit.num_params, dtype=complex)
 
     audit.acquire()  # the borrowed input
@@ -166,7 +157,7 @@ def _reverse_sweep(
         for j in range(gate.kind.arity):
             probe = clone_state(ket, counters)
             audit.acquire()
-            scalar = apply_gate_derivative(probe, gate, params, j, counters)
+            scalar = apply_gate_derivative(probe, gate, params, j, counters, matrix=bound[i])
             sums[gate.param_refs[j]] += scalar * inner_product(bra, probe, counters)
             audit.release()
         if i > 0:
@@ -233,7 +224,7 @@ def reference_gradient(
             for k in range(i):
                 other = circuit.gates[k]
                 apply_matrix(probe, bound[k], other.targets, other.controls, counters)
-            scalar = apply_gate_derivative(probe, gate, params, j, counters)
+            scalar = apply_gate_derivative(probe, gate, params, j, counters, matrix=bound[i])
             for k in range(i + 1, len(circuit.gates)):
                 other = circuit.gates[k]
                 apply_matrix(probe, bound[k], other.targets, other.controls, counters)

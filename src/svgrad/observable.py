@@ -79,9 +79,10 @@ class Observable:
 def apply_observable(state: StateVector, obs: Observable, counters=None) -> StateVector:
     """Fresh, generally unnormalised state sum_t coeff_t (factors_t) |state>.
 
-    The input is not modified. Cost O(num_terms * N * 2^N): each term clones
-    the input, applies its non-identity single-qubit factors, and is
-    accumulated scaled by its coefficient.
+    The input is not modified. Cost O(num_terms * N * 2^N): each term copies
+    the input into one scratch state, applies its non-identity single-qubit
+    factors, scales it by its coefficient in place (skipped for 1) and is
+    added to the sum, so no temporary state is allocated per term.
     """
     if state.num_qubits != obs.num_qubits:
         raise ValueError(
@@ -94,7 +95,11 @@ def apply_observable(state: StateVector, obs: Observable, counters=None) -> Stat
         for q, ch in enumerate(factors):
             if ch != "I":
                 apply_matrix(scratch, FACTORS[ch], (q,))
-        out += coeff * scratch.amplitudes
+        if coeff != 1:
+            # coefficient first, as in coeff * term: the SIMD loop rounds
+            # scalar-times-array and array-times-scalar differently
+            np.multiply(coeff, scratch.amplitudes, out=scratch.amplitudes)
+        out += scratch.amplitudes
     if counters is not None:
         counters.observable_applies += 1
     return StateVector(state.num_qubits, out)

@@ -4,12 +4,14 @@ Small enough to run on every install; the CLI exposes it as a subcommand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .ansatz import FAMILIES, AnsatzSpec, build_ansatz
-from .circuit import Circuit, rx
+from .circuit import Circuit, CustomParametric, PauliRotation, rx
+from .gates import pauli_product, rotation_matrix
 from .gradients import (
     finite_difference_gradient,
     reference_gradient,
@@ -21,6 +23,7 @@ from .statevector import init_basis_state
 TRIANGLE_REFERENCE_TOL = 1e-11
 TRIANGLE_FD_TOL = 1e-6
 FD_STEP = 1e-5
+PERTURB_SCALE = 1.01  # derivative skew of the negative control
 
 
 @dataclass
@@ -30,13 +33,39 @@ class CheckResult:
     detail: str = ""
 
 
-def _triangle_checks(rng: np.random.Generator) -> list[CheckResult]:
+def _skewed_rotation_derivative(axes: str, alpha: float, which: int, theta: float) -> np.ndarray:
+    return PERTURB_SCALE * alpha * 1j * rotation_matrix(axes, theta, alpha) @ pauli_product(axes)
+
+
+def _skew_derivatives(circuit: Circuit) -> Circuit:
+    """The same circuit with every rotation's derivative scaled by PERTURB_SCALE.
+
+    The gate matrices stay exact, so finite differences still see the true
+    gradient while reverse and reference see a skewed one: the negative
+    control that shows the triangle checks can fail.
+    """
+    gates = []
+    for gate in circuit.gates:
+        kind = gate.kind
+        if isinstance(kind, PauliRotation):
+            skewed = CustomParametric(
+                partial(rotation_matrix, kind.axes, alpha=kind.alpha),
+                derivative_fn=partial(_skewed_rotation_derivative, kind.axes, kind.alpha),
+            )
+            gate = replace(gate, kind=skewed)
+        gates.append(gate)
+    return replace(circuit, gates=tuple(gates))
+
+
+def _triangle_checks(rng: np.random.Generator, perturb_derivative: bool) -> list[CheckResult]:
     results = []
     for num_qubits in (3, 4):
         obs = builtin_observable("z_all", num_qubits)
         input_state = init_basis_state(num_qubits)
         for family in FAMILIES:
             circuit = build_ansatz(AnsatzSpec(family, num_qubits, reps=2))
+            if perturb_derivative:
+                circuit = _skew_derivatives(circuit)
             theta = rng.uniform(0.0, 2.0 * np.pi, circuit.num_params)
             rev = reverse_mode_gradient(circuit, theta, obs, input_state).values
             ref = reference_gradient(circuit, theta, obs, input_state).values
@@ -84,6 +113,11 @@ def _count_checks(rng: np.random.Generator) -> list[CheckResult]:
     return results
 
 
-def run_selftest(seed: int = 0) -> list[CheckResult]:
+def run_selftest(seed: int = 0, perturb_derivative: bool = False) -> list[CheckResult]:
+    """Oracle-triangle and op-count checks.
+
+    ``perturb_derivative`` is the negative control: it skews every rotation
+    derivative in the triangle circuits, so those checks must fail.
+    """
     rng = np.random.default_rng(seed)
-    return _triangle_checks(rng) + _count_checks(rng)
+    return _triangle_checks(rng, perturb_derivative) + _count_checks(rng)

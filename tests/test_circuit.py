@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import svgrad.circuit as circuit_module
 from conftest import gate_operator_oracle, random_state
 from svgrad.circuit import (
     Circuit,
@@ -31,7 +32,13 @@ from svgrad.circuit import (
 )
 from svgrad.gates import PAULI, X, rotation_matrix
 from svgrad.gradients import OpCounters
-from svgrad.statevector import StateVector, apply_matrix, clone_state, init_basis_state
+from svgrad.statevector import (
+    StateVector,
+    apply_matrix,
+    clone_state,
+    init_basis_state,
+    project_to_one,
+)
 
 THETAS = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
 
@@ -261,6 +268,75 @@ def test_pauli_factor_order_is_irrelevant():
     apply_matrix(swapped, PAULI["X"], (0,))
     apply_matrix(swapped, rotation_matrix("XY", theta[0]), (0, 1))
     np.testing.assert_allclose(forward.amplitudes, swapped.amplitudes, atol=1e-12)
+
+
+ROTATIONS = [
+    rx(0, 0),
+    ry(1, 0),
+    rz(2, 0),
+    rp("XY", (0, 2), 0),
+    rp("ZZ", (2, 1), 0),
+    crx(2, 0, 0),
+    Gate(PauliRotation("Y"), (0,), (1,), (0,)),
+    Gate(PauliRotation("ZZ"), (0, 2), (1,), (0,)),
+    rx(1, 0, alpha=0.25),
+    rp("XY", (1, 0), 0, alpha=0.25),
+    Gate(PauliRotation("Z", 0.25), (2,), (0,), (0,)),
+]
+
+
+def _two_step_derivative(state, gate, theta):
+    """The Pauli product, then the bound rotation, then the control projection."""
+    kind = gate.kind
+    for axis, t in zip(kind.axes, gate.targets):
+        apply_matrix(state, PAULI[axis], (t,))
+    apply_matrix(state, rotation_matrix(kind.axes, theta, kind.alpha), gate.targets)
+    if gate.controls:
+        project_to_one(state, gate.controls)
+    return kind.alpha * 1j
+
+
+@pytest.mark.parametrize("num_qubits", [3, 13])  # gather and view kernels
+@pytest.mark.parametrize("gate", ROTATIONS)
+def test_rotation_derivative_matches_two_step_action(gate, num_qubits):
+    rng = np.random.default_rng(23)
+    for theta in THETAS:
+        state = random_state(num_qubits, rng)
+        fused = clone_state(state)
+        scalar = apply_gate_derivative(fused, gate, [theta], 0)
+        two_step = clone_state(state)
+        expected = _two_step_derivative(two_step, gate, theta)
+        assert scalar == expected
+        np.testing.assert_allclose(fused.amplitudes, two_step.amplitudes, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("gate", ROTATIONS)
+def test_rotation_derivative_is_one_kernel_call(gate, monkeypatch):
+    matrices = []
+
+    def recording_apply_matrix(state, m, targets, controls=(), counters=None):
+        matrices.append(np.array(m))
+        apply_matrix(state, m, targets, controls, counters)
+
+    monkeypatch.setattr(circuit_module, "apply_matrix", recording_apply_matrix)
+    apply_gate_derivative(random_state(3, np.random.default_rng(24)), gate, [0.7], 0)
+    assert len(matrices) == 1
+    if set(gate.kind.axes) == {"Z"}:  # U P is diagonal, for the kernel's diagonal path
+        m = matrices[0]
+        assert np.count_nonzero(m - np.diag(m.diagonal())) == 0
+
+
+@pytest.mark.parametrize("gate", ROTATIONS + [phase_gate(1, 0), TWO_ANGLE, SCALED])
+def test_derivative_with_bound_matrix_matches_unbound(gate):
+    params = [0.9, -0.4]
+    state = random_state(3, np.random.default_rng(25))
+    for which in range(gate.kind.arity):
+        given = clone_state(state)
+        a = apply_gate_derivative(given, gate, params, which, matrix=gate_matrix(gate, params))
+        bound_inside = clone_state(state)
+        b = apply_gate_derivative(bound_inside, gate, params, which)
+        assert a == b
+        np.testing.assert_array_equal(given.amplitudes, bound_inside.amplitudes)
 
 
 def test_derivative_counts_once_and_no_gate_applies():

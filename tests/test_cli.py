@@ -1,11 +1,13 @@
 """Command-line behaviour: output formats, exit codes, selftest verdicts."""
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import svgrad.cli as cli
+from svgrad.selftest import run_selftest
 
 RY_CIRCUIT = "qubits 1\nparams 1\nry q0 p0\n"
 
@@ -106,6 +108,33 @@ def test_grad_non_finite_parameter(tmp_path, capsys, value):
     assert captured.out == ""
     assert captured.err.startswith("error: non-finite parameter values: p0=")
 
+def test_grad_negative_inf_inline(tmp_path, capsys):
+    # argparse would read a leading '-' as an unknown option; it must reach the value check
+    circ = write(tmp_path, "ry.circ", RY_CIRCUIT)
+    assert cli.main(["grad", circ, "z_all", "-inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite parameter values: p0=-inf\n"
+
+
+def test_grad_negative_exponent_inline(tmp_path, capsys):
+    circ = write(tmp_path, "ry.circ", RY_CIRCUIT)
+    assert cli.main(["grad", circ, "z_all", "-1e-3"]) == 0
+    _, values = grad_lines(capsys)
+    assert abs(values["p0"] - (-np.sin(-1e-3))) <= 1e-12
+
+
+def test_grad_negative_list_inline(tmp_path, capsys):
+    circ = write(tmp_path, "ryrz.circ", "qubits 1\nparams 2\nry q0 p0\nrz q0 p1\n")
+    assert cli.main(["grad", circ, "z_all", "-1,0.2", "--method", "reference"]) == 0
+    _, inline = grad_lines(capsys)
+    params = write(tmp_path, "theta.txt", "-1 0.2\n")
+    assert cli.main(["grad", circ, "z_all", params, "--method", "reference"]) == 0
+    _, from_file = grad_lines(capsys)
+    assert inline == from_file
+    assert abs(inline["p0"] - (-np.sin(-1.0))) <= 1e-12
+
+
 def test_grad_missing_file(tmp_path, capsys):
     assert cli.main(["grad", str(tmp_path / "nope.circ"), "z_all", "0.1"]) == 2
 
@@ -185,6 +214,24 @@ def test_selftest_negative_control(capsys):
     assert cli.main(["selftest", "--perturb-derivative"]) == 1
     out = capsys.readouterr().out
     assert any("FAIL" in line and "oracle-triangle" in line for line in out.splitlines())
+
+
+def test_selftest_negative_control_leaves_concurrent_run_intact():
+    # the skew lives in the perturbed run's own circuits, not in module state
+    results = {}
+
+    def run(perturb):
+        results[perturb] = run_selftest(perturb_derivative=perturb)
+
+    threads = [threading.Thread(target=run, args=(p,)) for p in (True, False)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert all(r.passed for r in results[False])
+    failed = {r.name for r in results[True] if not r.passed}
+    assert failed and all(name.startswith("oracle-triangle/") for name in failed)
 
 
 def test_selftest_deterministic(capsys):

@@ -30,6 +30,14 @@ def test_rotation_alpha_override():
     np.testing.assert_allclose(rotation_matrix("Y", 0.9, alpha=0.25), expected, atol=1e-13)
 
 
+def test_cached_pauli_product_is_read_only():
+    p = pauli_product("XY")
+    assert pauli_product("XY") is p
+    with pytest.raises(ValueError):
+        p[0, 0] = 2.0
+    np.testing.assert_array_equal(p, np.kron(Y, X))
+
+
 def test_phase_matrix():
     np.testing.assert_allclose(phase_matrix(np.pi / 2), np.diag([1, 1j]), atol=1e-15)
 

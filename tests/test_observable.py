@@ -1,10 +1,13 @@
 """Tensor-product-term operators: application, adjoint, expectation, format."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import observable_matrix_oracle, random_state
 from svgrad.gradients import OpCounters
 from svgrad.observable import (
+    FACTORS,
     Observable,
     ObservableParseError,
     adjoint_observable,
@@ -15,7 +18,7 @@ from svgrad.observable import (
     observable_to_text,
     parse_observable,
 )
-from svgrad.statevector import StateVector, init_basis_state
+from svgrad.statevector import StateVector, apply_matrix, clone_state, init_basis_state
 
 
 def test_z_eigenstates():
@@ -134,6 +137,46 @@ def test_apply_matches_kron_oracle(num_qubits):
     expected = observable_matrix_oracle(obs) @ state.amplitudes
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-11)
     np.testing.assert_allclose(dense_matrix(obs), observable_matrix_oracle(obs), atol=1e-12)
+
+
+def _apply_observable_with_temporaries(state, obs):
+    """The per-term formula out += coeff * term, one temporary state per term."""
+    out = np.zeros_like(state.amplitudes)
+    for coeff, factors in obs.terms:
+        term = clone_state(state)
+        for q, ch in enumerate(factors):
+            if ch != "I":
+                apply_matrix(term, FACTORS[ch], (q,))
+        out += coeff * term.amplitudes
+    return out
+
+
+@pytest.mark.parametrize("num_qubits", [3, 13])  # gather and view kernels
+def test_apply_in_place_scaling_matches_per_term_formula(num_qubits):
+    rng = np.random.default_rng(34)
+    letters = np.array(list("IXYZH+-"))
+    coeffs = [1.0, 0.3 - 1.7j, -2.2 + 0.4j, 1j, 1.0, -0.5]
+    terms = tuple((c, "".join(rng.choice(letters, size=num_qubits))) for c in coeffs)
+    obs = Observable(num_qubits, terms)
+    state = random_state(num_qubits, rng)
+    np.testing.assert_array_equal(
+        apply_observable(state, obs).amplitudes, _apply_observable_with_temporaries(state, obs)
+    )
+
+
+def test_apply_allocates_no_state_per_term():
+    num_qubits = 16
+    state = random_state(num_qubits, np.random.default_rng(35))
+    obs = Observable(num_qubits, ((0.5 - 0.25j, "Z" * num_qubits), (1.5j, "X" + "I" * 15)))
+    state_bytes = state.amplitudes.nbytes
+    tracemalloc.start()
+    try:
+        apply_observable(state, obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result and one scratch state; a per-term temporary would add a third
+    assert peak < 2.5 * state_bytes
 
 
 def test_validation():
