@@ -108,6 +108,7 @@ def test_grad_non_finite_parameter(tmp_path, capsys, value):
     assert captured.out == ""
     assert captured.err.startswith("error: non-finite parameter values: p0=")
 
+
 def test_grad_negative_inf_inline(tmp_path, capsys):
     # argparse would read a leading '-' as an unknown option; it must reach the value check
     circ = write(tmp_path, "ry.circ", RY_CIRCUIT)
