@@ -9,9 +9,11 @@ derivative of a gate mutates the state up to a complex factor which is
 returned instead of multiplied in, so the caller can fold it into a final
 inner product. A rotation derivative is one kernel call with the matrix
 U @ P, the bound rotation times its Pauli product (diagonal for Z axes),
-and defers alpha*i; the phase-gate derivative is a projection onto
-the target's |1> with deferred i*e^{i theta}; entry-wise matrix kinds apply
-the (analytic or finite-difference) matrix derivative with deferred 1. With
+and defers alpha*i; the gradient engines pass U @ P in from their per-call
+plan, which evaluates it in closed form without a product. The phase-gate
+derivative is a projection onto the target's |1> with deferred
+i*e^{i theta}; entry-wise matrix kinds apply the (analytic or
+finite-difference) matrix derivative with deferred 1. With
 controls present, the derivative action ends by zeroing every amplitude
 whose control bits are not all 1.
 """
@@ -23,7 +25,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import gates as g
-from .statevector import StateVector, apply_matrix, project_to_one
+from .statevector import StateVector, apply_matrix, check_num_qubits, project_to_one
 
 ENTRY_DERIV_STEP = 1e-6  # central-difference step for entry-wise matrix derivatives
 
@@ -106,22 +108,14 @@ class CustomParametric:
 
 
 @dataclass(frozen=True, eq=False)
-class NonUnitary:
-    """Invertible but non-unitary matrix gate.
+class NonUnitary(CustomParametric):
+    """Invertible but non-unitary matrix gate, parameter-free by default.
 
     Rewinding such a gate uses the true matrix inverse where a unitary gate
     would use its adjoint; everywhere else it behaves like CustomParametric.
     """
 
-    matrix_fn: Callable[..., np.ndarray]
     num_params: int = 0
-    derivative_fn: Callable[..., np.ndarray] | None = None
-    invertible: bool = True
-    name: str = ""
-
-    @property
-    def arity(self) -> int:
-        return self.num_params
 
 
 GateKind = Union[PauliRotation, Phase, FixedUnitary, CustomParametric, NonUnitary]
@@ -300,13 +294,16 @@ def apply_gate_derivative(
     which_param: int = 0,
     counters=None,
     matrix: np.ndarray | None = None,
+    derivative: np.ndarray | None = None,
 ) -> complex:
     """state <- (dU/d theta_local) state up to the returned deferred scalar.
 
     The caller must multiply the eventual inner product by the returned
     complex factor. Performs O(1) matrix/projection applications whatever
-    the gate kind. ``matrix``, when given, must be ``gate_matrix(gate,
-    params)``; a rotation then reuses it instead of binding again.
+    the gate kind. For a rotation, ``derivative``, when given, must be its
+    U @ P (``gates.rotation_times_pauli``), which is applied as is;
+    otherwise ``matrix``, when given, must be ``gate_matrix(gate, params)``
+    and is reused instead of binding again. Other kinds ignore both.
     """
     kind = gate.kind
     if kind.arity == 0:
@@ -314,10 +311,12 @@ def apply_gate_derivative(
     if not 0 <= which_param < kind.arity:
         raise ValueError(f"local parameter {which_param} out of range for arity {kind.arity}")
     if isinstance(kind, PauliRotation):
-        if matrix is None:
-            matrix = gate_matrix(gate, params)
+        if derivative is None:
+            if matrix is None:
+                matrix = gate_matrix(gate, params)
+            derivative = matrix @ g.pauli_product(kind.axes)
         # dU/dtheta = alpha i U P, with P the gate's Pauli product
-        apply_matrix(state, matrix @ g.pauli_product(kind.axes), gate.targets)
+        apply_matrix(state, derivative, gate.targets)
         scalar = kind.alpha * 1j
     elif isinstance(kind, Phase):
         project_to_one(state, gate.targets)
@@ -375,8 +374,10 @@ def parse_circuit(text: str) -> Circuit:
         tokens = line.split()
         if num_qubits is None:
             num_qubits = _parse_header(tokens, "qubits", lineno)
-            if num_qubits < 1:
-                raise CircuitParseError(lineno, "need at least one qubit")
+            try:
+                check_num_qubits(num_qubits)
+            except ValueError as exc:
+                raise CircuitParseError(lineno, str(exc)) from exc
             continue
         if num_params is None:
             num_params = _parse_header(tokens, "params", lineno)

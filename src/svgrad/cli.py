@@ -68,10 +68,10 @@ def _cmd_grad(args: argparse.Namespace) -> int:
             circuit = parse_circuit(fh.read())
         obs = _load_observable(args.observable, circuit.num_qubits)
         params = _load_params(args.params)
+        input_state = init_basis_state(circuit.num_qubits)
     except (CircuitParseError, ObservableParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    input_state = init_basis_state(circuit.num_qubits)
     try:
         if not obs.is_hermitian:
             if args.method == "reference":

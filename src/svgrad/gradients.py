@@ -35,9 +35,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import gates as g
 from .circuit import (
     Circuit,
     NonUnitary,
+    PauliRotation,
     apply_gate_derivative,
     gate_matrix,
     rewind_matrix,
@@ -88,7 +90,13 @@ class LiveStateAudit:
         self.live -= 1
 
 
-def _check_call(circuit: Circuit, params, obs: Observable, input_state: StateVector) -> np.ndarray:
+def _check_call(
+    circuit: Circuit, params, obs: Observable, input_state: StateVector, hermitian: bool = False
+) -> np.ndarray:
+    if hermitian and not obs.is_hermitian:
+        raise ValueError(
+            "observable is not Hermitian; use non_hermitian_gradient for complex expectations"
+        )
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.num_params,):
         raise ValueError(
@@ -110,9 +118,36 @@ def _check_call(circuit: Circuit, params, obs: Observable, input_state: StateVec
     return params
 
 
-def _bind(circuit: Circuit, params: np.ndarray) -> list[np.ndarray]:
-    # theta is fixed for a whole gradient call, so matrices are bound once
-    return [gate_matrix(gate, params) for gate in circuit.gates]
+def _bind(circuit: Circuit, params: np.ndarray) -> tuple[list, list, list]:
+    """Every gate bound once per gradient call: its matrix, adjoint and derivative matrix.
+
+    The derivative matrix is a rotation's U @ P, which ``apply_gate_derivative``
+    applies as is; other kinds get None and bind their own. The rotations of
+    one Pauli string are bound in one vectorised step.
+    """
+    gates = circuit.gates
+    matrices, adjoints, derivatives = ([None] * len(gates) for _ in range(3))
+    rotations: dict[str, list[int]] = {}
+    for i, gate in enumerate(gates):
+        if isinstance(gate.kind, PauliRotation):
+            rotations.setdefault(gate.kind.axes, []).append(i)
+        else:
+            matrices[i] = m = gate_matrix(gate, params)
+            adjoints[i] = m.conj().T
+    for axes, which in rotations.items():
+        theta = params[[gates[i].param_refs[0] for i in which]]
+        alpha = np.array([gates[i].kind.alpha for i in which])
+        stack = g.rotation_matrix(axes, theta, alpha)
+        adjoint = np.ascontiguousarray(stack.conj().swapaxes(1, 2))
+        for i, m, a, d in zip(which, stack, adjoint, g.rotation_times_pauli(axes, theta, alpha)):
+            matrices[i], adjoints[i], derivatives[i] = m, a, d
+    return matrices, adjoints, derivatives
+
+
+def _forward(state: StateVector, gates, matrices, counters: OpCounters) -> None:
+    """Apply the bound ``matrices`` of ``gates`` to ``state`` in order."""
+    for gate, m in zip(gates, matrices):
+        apply_matrix(state, m, gate.targets, gate.controls, counters)
 
 
 def _reverse_sweep(
@@ -128,22 +163,19 @@ def _reverse_sweep(
     Returns the complex per-parameter sums and the expectation at theta.
     Callers turn the sums into gradients (2 Re for a Hermitian operator).
     """
-    bound = _bind(circuit, params)
+    gates = circuit.gates
+    matrices, adjoints, derivatives = _bind(circuit, params)
+    # the ket rewinds with the adjoints, but with the true inverse of a NonUnitary gate
     rewinds = [
-        rewind_matrix(gate, m, i) for i, (gate, m) in enumerate(zip(circuit.gates, bound))
-    ]
-    # the bra rewinds with adjoints, which differ from the rewinds only for NonUnitary gates
-    adjoints = [
-        m.conj().T if isinstance(gate.kind, NonUnitary) else r
-        for gate, m, r in zip(circuit.gates, bound, rewinds)
+        rewind_matrix(gate, m, i) if isinstance(gate.kind, NonUnitary) else a
+        for i, (gate, m, a) in enumerate(zip(gates, matrices, adjoints))
     ]
     sums = np.zeros(circuit.num_params, dtype=complex)
 
     audit.acquire()  # the borrowed input
     bra = clone_state(input_state, counters)
     audit.acquire()
-    for gate, m in zip(circuit.gates, bound):
-        apply_matrix(bra, m, gate.targets, gate.controls, counters)
+    _forward(bra, gates, matrices, counters)
     ket = clone_state(bra, counters)
     audit.acquire()
     bra = apply_observable(bra, obs, counters)
@@ -151,13 +183,15 @@ def _reverse_sweep(
     # of the schedule whose costs the counters transcribe
     energy = complex(np.vdot(ket.amplitudes, bra.amplitudes))
 
-    for i in range(len(circuit.gates) - 1, -1, -1):
-        gate = circuit.gates[i]
+    for i in range(len(gates) - 1, -1, -1):
+        gate = gates[i]
         apply_matrix(ket, rewinds[i], gate.targets, gate.controls, counters)
         for j in range(gate.kind.arity):
             probe = clone_state(ket, counters)
             audit.acquire()
-            scalar = apply_gate_derivative(probe, gate, params, j, counters, matrix=bound[i])
+            scalar = apply_gate_derivative(
+                probe, gate, params, j, counters, derivative=derivatives[i]
+            )
             sums[gate.param_refs[j]] += scalar * inner_product(bra, probe, counters)
             audit.release()
         if i > 0:
@@ -182,11 +216,7 @@ def reverse_mode_gradient(
     gate applications and at most four live state-vectors (input, bra, ket,
     probe) whatever P is. Pass an audit to observe the latter.
     """
-    if not obs.is_hermitian:
-        raise ValueError(
-            "observable is not Hermitian; use non_hermitian_gradient for complex expectations"
-        )
-    params = _check_call(circuit, params, obs, input_state)
+    params = _check_call(circuit, params, obs, input_state, hermitian=True)
     counters = OpCounters()
     sums, energy = _reverse_sweep(
         circuit, params, obs, input_state, counters, audit or LiveStateAudit()
@@ -202,32 +232,26 @@ def reference_gradient(
     Builds the operator-applied circuit state once, then rebuilds a
     derivative-inserted state from the input for every parameter occurrence.
     """
-    if not obs.is_hermitian:
-        raise ValueError(
-            "observable is not Hermitian; use non_hermitian_gradient for complex expectations"
-        )
-    params = _check_call(circuit, params, obs, input_state)
+    params = _check_call(circuit, params, obs, input_state, hermitian=True)
     counters = OpCounters()
-    bound = _bind(circuit, params)
+    gates = circuit.gates
+    matrices, _, derivatives = _bind(circuit, params)
     values = np.zeros(circuit.num_params, dtype=complex)
 
     bra = clone_state(input_state, counters)
-    for gate, m in zip(circuit.gates, bound):
-        apply_matrix(bra, m, gate.targets, gate.controls, counters)
+    _forward(bra, gates, matrices, counters)
     psi_amps = bra.amplitudes.copy()
     bra = apply_observable(bra, obs, counters)
     energy = complex(np.vdot(psi_amps, bra.amplitudes))  # uncounted, as in the sweep
 
-    for i, gate in enumerate(circuit.gates):
+    for i, gate in enumerate(gates):
         for j in range(gate.kind.arity):
             probe = clone_state(input_state, counters)
-            for k in range(i):
-                other = circuit.gates[k]
-                apply_matrix(probe, bound[k], other.targets, other.controls, counters)
-            scalar = apply_gate_derivative(probe, gate, params, j, counters, matrix=bound[i])
-            for k in range(i + 1, len(circuit.gates)):
-                other = circuit.gates[k]
-                apply_matrix(probe, bound[k], other.targets, other.controls, counters)
+            _forward(probe, gates[:i], matrices[:i], counters)
+            scalar = apply_gate_derivative(
+                probe, gate, params, j, counters, derivative=derivatives[i]
+            )
+            _forward(probe, gates[i + 1 :], matrices[i + 1 :], counters)
             amp = scalar * inner_product(bra, probe, counters)
             values[gate.param_refs[j]] += 2.0 * amp.real
     return GradientReport(values, energy, counters)
@@ -274,9 +298,7 @@ def finite_difference_gradient(
 
     def evaluate(theta: np.ndarray) -> complex:
         state = clone_state(input_state, counters)
-        bound = _bind(circuit, theta)
-        for gate, m in zip(circuit.gates, bound):
-            apply_matrix(state, m, gate.targets, gate.controls, counters)
+        _forward(state, circuit.gates, _bind(circuit, theta)[0], counters)
         return expectation(state, obs, counters)
 
     values = np.zeros(circuit.num_params, dtype=complex)

@@ -32,9 +32,15 @@ views.
 
 States of at most 2^12 amplitudes take a gather kernel instead. At that
 size Python and NumPy dispatch set the cost, and one fancy-indexed read and
-write is the cheapest body. Its index tables are at most 32 KB each and
-are held in a bounded, read-only cache. Neither kernel keeps a scratch
-buffer, so distinct states can be used from distinct threads.
+write is the cheapest body.
+
+Each placement (qubit count, targets, controls, and which kernel the state
+size picks) is validated once: its plan, the gather kernel's index table
+of at most 32 KB or the view kernel's shape, control index and target
+axes, sits in a bounded, read-only cache. An invalid placement raises and
+is never cached. A repeated gate then costs a matrix-shape check, the cache
+lookup and the kernel body. Neither kernel keeps a scratch buffer, so
+distinct states can be used from distinct threads.
 """
 from __future__ import annotations
 
@@ -44,14 +50,28 @@ from functools import lru_cache
 import numpy as np
 
 
+# Largest register: a state of 2^30 complex128 amplitudes takes 16 GiB. Every
+# path to a 2^N allocation (circuit text, init_basis_state, StateVector)
+# checks it first, so an oversized register fails with a ValueError instead
+# of a failed or swapping allocation.
+MAX_QUBITS = 30
+
+
+def check_num_qubits(num_qubits: int) -> None:
+    """Raise ValueError unless 1 <= num_qubits <= MAX_QUBITS."""
+    if num_qubits < 1:
+        raise ValueError(f"need at least one qubit, got {num_qubits}")
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(f"{num_qubits} qubits exceed the limit of {MAX_QUBITS}")
+
+
 class StateVector:
     """Amplitudes of an ``num_qubits``-qubit register."""
 
     __slots__ = ("num_qubits", "amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray):
-        if num_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {num_qubits}")
+        check_num_qubits(num_qubits)
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (1 << num_qubits,):
             raise ValueError(
@@ -70,8 +90,7 @@ class StateVector:
 
 def init_basis_state(num_qubits: int, basis_index: int = 0) -> StateVector:
     """Computational basis state |basis_index> on ``num_qubits`` qubits."""
-    if num_qubits < 1:
-        raise ValueError(f"need at least one qubit, got {num_qubits}")
+    check_num_qubits(num_qubits)
     if not 0 <= basis_index < (1 << num_qubits):
         raise ValueError(
             f"basis index {basis_index} out of range for {num_qubits} qubits"
@@ -111,31 +130,8 @@ _ROWS_MAX_RUN = 4
 _MATMUL_MIN_RUN = 128
 
 
-@lru_cache(maxsize=256)  # at most 256 tables of <= 32 KB each
-def _group_indices(num_qubits: int, targets: tuple[int, ...], controls: tuple[int, ...]) -> np.ndarray:
-    """(2^k, M) amplitude indices for the gather kernel.
-
-    Column j holds one group of 2^k amplitudes that a k-target matrix mixes,
-    restricted to control bits all 1. Read-only, since callers share it.
-    """
-    idx = np.arange(1 << num_qubits)
-    keep = np.ones(idx.shape, dtype=bool)
-    for t in targets:
-        keep &= (idx >> t) & 1 == 0
-    for c in controls:
-        keep &= (idx >> c) & 1 == 1
-    base = idx[keep]
-    offsets = np.zeros(1 << len(targets), dtype=np.int64)
-    for k, t in enumerate(targets):
-        half = 1 << k
-        offsets[half : 2 * half] = offsets[:half] + (1 << t)
-    groups = base[np.newaxis, :] + offsets[:, np.newaxis]
-    groups.flags.writeable = False
-    return groups
-
-
-def _split(amps: np.ndarray, num_qubits: int, qubits) -> tuple[np.ndarray, dict[int, int]]:
-    """View of ``amps`` with one length-2 axis per listed qubit, and each one's axis.
+def _layout(num_qubits: int, qubits) -> tuple[tuple[int, ...], dict[int, int]]:
+    """View shape with one length-2 axis per listed qubit, and each one's axis.
 
     The runs of unlisted qubits between them become single axes, so the
     view needs no copy whatever the placement.
@@ -151,7 +147,7 @@ def _split(amps: np.ndarray, num_qubits: int, qubits) -> tuple[np.ndarray, dict[
         top = q
     if top:
         shape.append(1 << top)
-    return amps.reshape(shape), axis
+    return tuple(shape), axis
 
 
 def _pieces(view: np.ndarray, axis: int) -> list[np.ndarray]:
@@ -162,8 +158,17 @@ def _pieces(view: np.ndarray, axis: int) -> list[np.ndarray]:
     return [view[lead + (slice(i, i + step),)] for i in range(0, size, step)]
 
 
-def _reject(num_qubits: int, m: np.ndarray, targets: tuple, controls: tuple) -> None:
-    """Raise the ValueError that says why an ``apply_matrix`` call is invalid."""
+@lru_cache(maxsize=256)  # gather tables are at most 32 KB each
+def _placement(num_qubits: int, targets: tuple, controls: tuple, gather: bool):
+    """Validate one ``apply_matrix`` placement and return its kernel plan.
+
+    For the view kernel the plan is the view shape, the index that fixes
+    each control axis at 1, and where each target axis sits once the control
+    axes are indexed away. For the gather kernel it is a read-only (2^k, M)
+    table of amplitude indices: column j holds one group of 2^k amplitudes
+    that a k-target matrix mixes, restricted to control bits all 1. An
+    invalid placement raises, so it is never cached.
+    """
     for label, qubits in (("target", targets), ("control", controls)):
         for q in qubits:
             if not 0 <= q < num_qubits:
@@ -179,7 +184,19 @@ def _reject(num_qubits: int, m: np.ndarray, targets: tuple, controls: tuple) -> 
             f"native kernels cover 1 or 2 targets, got {len(targets)}; "
             "decompose larger unitaries"
         )
-    raise ValueError(f"matrix shape {m.shape} does not act on {len(targets)} targets")
+    shape, axis = _layout(num_qubits, targets + controls)
+    index = [slice(None)] * len(shape)
+    for c in controls:
+        index[axis[c]] = 1
+    pos = tuple(axis[t] - sum(axis[c] < axis[t] for c in controls) for t in targets)
+    if not gather:
+        return shape, tuple(index), pos
+    # the amplitude indices, laid out as _apply_block lays out the amplitudes
+    view = np.arange(1 << num_qubits).reshape(shape)[tuple(index)]
+    rest = tuple(a for a in range(view.ndim) if a not in pos)
+    groups = view.transpose(pos[::-1] + rest).reshape(1 << len(targets), -1)
+    groups.flags.writeable = False
+    return groups
 
 
 def apply_matrix(
@@ -197,30 +214,18 @@ def apply_matrix(
     """
     targets = tuple(targets)
     controls = tuple(controls)
-    n = state.num_qubits
-    m = np.asarray(m, dtype=complex)
-    qubits = targets + controls
-    dim = 1 << len(targets)
-    if (
-        len(targets) not in (1, 2)
-        or len(set(qubits)) != len(qubits)
-        or min(qubits) < 0
-        or max(qubits) >= n
-        or m.shape != (dim, dim)
-    ):
-        _reject(n, m, targets, controls)
     amps = state.amplitudes
-    if amps.size <= _GATHER_MAX_AMPS:
-        groups = _group_indices(n, targets, controls)
-        amps[groups] = m @ amps[groups]
+    gather = amps.size <= _GATHER_MAX_AMPS
+    plan = _placement(state.num_qubits, targets, controls, gather)
+    m = np.asarray(m, dtype=complex)
+    dim = 1 << len(targets)
+    if m.shape != (dim, dim):
+        raise ValueError(f"matrix shape {m.shape} does not act on {len(targets)} targets")
+    if gather:
+        amps[plan] = m.dot(amps[plan])
     else:
-        tensor, axis = _split(amps, n, qubits)
-        index = [slice(None)] * tensor.ndim
-        for c in controls:
-            index[axis[c]] = 1
-        view = tensor[tuple(index)]
-        # where each target axis sits once the control axes are indexed away
-        pos = [axis[t] - sum(axis[c] < axis[t] for c in controls) for t in targets]
+        shape, index, pos = plan
+        view = amps.reshape(shape)[index]
         if len(targets) == 1:
             _apply_single(view, m, targets[0], pos[0], controls)
         else:
@@ -256,12 +261,12 @@ def _apply_single(view: np.ndarray, m: np.ndarray, t: int, p: int, controls: tup
         for part in _pieces(view, 1 if p == 0 else 0):
             part[...] = np.matmul(m, part)
     else:
-        _apply_block(view, m, [p])
+        _apply_block(view, m, (p,))
 
 
-def _apply_block(view: np.ndarray, m: np.ndarray, pos: list[int]) -> None:
+def _apply_block(view: np.ndarray, m: np.ndarray, pos: tuple[int, ...]) -> None:
     """Any placement: gather the target axes into a (2^k, M) block, multiply, scatter back."""
-    rest = [a for a in range(view.ndim) if a not in pos]
+    rest = tuple(a for a in range(view.ndim) if a not in pos)
     # targets[k-1] leads, so the flattened leading index is the little-endian
     # sub-index; the trailing unit axis leaves something to cut when every
     # qubit is a target or a control
@@ -287,7 +292,8 @@ def project_to_one(state: StateVector, qubits: Sequence[int]) -> None:
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"projected qubit {q} out of range for {n} qubits")
-    tensor, axis = _split(state.amplitudes, n, qubits)
+    shape, axis = _layout(n, qubits)
+    tensor = state.amplitudes.reshape(shape)
     index = [slice(None)] * tensor.ndim
     # zero the 0-slice of each qubit inside the 1-slices of those before it:
     # every amplitude is written at most once

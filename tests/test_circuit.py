@@ -458,3 +458,10 @@ def test_serialize_rejects_custom_gates():
     circuit = Circuit(1, (CUSTOM,), 1)
     with pytest.raises(ValueError, match="not representable"):
         circuit_to_text(circuit)
+
+
+@pytest.mark.parametrize("qubits", [0, 31, 1 << 40])
+def test_parse_checks_the_qubit_cap(qubits):
+    with pytest.raises(CircuitParseError, match="line 2: ") as err:
+        parse_circuit(f"# header\nqubits {qubits}\nparams 0\n")
+    assert err.value.line == 2

@@ -136,6 +136,14 @@ def test_grad_negative_list_inline(tmp_path, capsys):
     assert abs(inline["p0"] - (-np.sin(-1.0))) <= 1e-12
 
 
+@pytest.mark.parametrize("qubits", [31, 64])
+def test_grad_qubit_cap(tmp_path, capsys, qubits):
+    circ = write(tmp_path, "wide.circ", f"qubits {qubits}\nparams 1\nry q0 p0\n")
+    assert cli.main(["grad", circ, "z_all", "0.1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: line 1: {qubits} qubits exceed the limit of 30"]
+
+
 def test_grad_missing_file(tmp_path, capsys):
     assert cli.main(["grad", str(tmp_path / "nope.circ"), "z_all", "0.1"]) == 2
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import svgrad.gradients as gradients_module
 from conftest import expectation_oracle, random_state
 from svgrad.ansatz import FAMILIES, AnsatzSpec, build_ansatz
 from svgrad.circuit import (
@@ -10,15 +11,22 @@ from svgrad.circuit import (
     Gate,
     NonInvertibleGateError,
     NonUnitary,
+    PauliRotation,
+    crx,
     cx,
     fixed,
+    gate_matrix,
+    phase_gate,
+    rewind_matrix,
+    rp,
     rx,
     ry,
     rz,
 )
-from svgrad.gates import rotation_matrix
+from svgrad.gates import pauli_product, rotation_matrix
 from svgrad.gradients import (
     LiveStateAudit,
+    OpCounters,
     finite_difference_gradient,
     merge_gradient,
     non_hermitian_gradient,
@@ -406,3 +414,100 @@ def test_argument_validation():
         reverse_mode_gradient(circuit, [0.1], builtin_observable("z_all", 2), init_basis_state(1))
     with pytest.raises(ValueError):
         reverse_mode_gradient(circuit, [0.1], Z1, init_basis_state(2))
+
+
+# -- the per-call plan ----------------------------------------------------------------
+
+def _mixed_circuit() -> Circuit:
+    """Rotations over X, Y, Z, XY and ZZ with both alphas, with and without
+    controls, next to Phase, FixedUnitary, CustomParametric and NonUnitary gates."""
+    gates = (
+        rx(0, 0),
+        ry(1, 1),
+        rz(2, 2),
+        rp("XY", (0, 2), 3),
+        rp("ZZ", (2, 1), 4),
+        rx(1, 5, alpha=0.25),
+        rp("XY", (1, 0), 6, alpha=0.25),
+        Gate(PauliRotation("Z", 0.25), (2,), (0,), (7,)),
+        crx(2, 0, 8),
+        Gate(PauliRotation("Y", 0.25), (0,), (1,), (9,)),
+        Gate(PauliRotation("ZZ"), (0, 2), (1,), (10,)),
+        phase_gate(1, 11),
+        cx(0, 1),
+        fixed("h", 2),
+        Gate(CustomParametric(_two_angle_matrix, 2, name="zy"), (1,), (), (12, 0)),
+        Gate(NonUnitary(_scaled_ry, 1, name="scaled-ry"), (2,), (0,), (13,)),
+        ry(0, 3),  # a repeated parameter
+    )
+    return Circuit(3, gates, 14)
+
+
+def test_plan_matches_the_per_gate_api():
+    circuit = _mixed_circuit()
+    params = np.random.default_rng(47).uniform(-np.pi, np.pi, circuit.num_params)
+    matrices, adjoints, derivatives = gradients_module._bind(circuit, params)
+    axes_seen = set()
+    for i, gate in enumerate(circuit.gates):
+        m = gate_matrix(gate, params)
+        np.testing.assert_allclose(matrices[i], m, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(adjoints[i], m.conj().T, rtol=0, atol=1e-15)
+        if not isinstance(gate.kind, NonUnitary):
+            np.testing.assert_allclose(adjoints[i], rewind_matrix(gate, m), rtol=0, atol=1e-15)
+        if isinstance(gate.kind, PauliRotation):
+            axes_seen.add((gate.kind.axes, gate.kind.alpha, bool(gate.controls)))
+            expected = m @ pauli_product(gate.kind.axes)
+            np.testing.assert_allclose(derivatives[i], expected, rtol=0, atol=1e-15)
+        else:
+            assert derivatives[i] is None
+    assert {axes for axes, _, _ in axes_seen} == {"X", "Y", "Z", "XY", "ZZ"}
+    assert {alpha for _, alpha, _ in axes_seen} == {-0.5, 0.25}
+    assert {controlled for _, _, controlled in axes_seen} == {False, True}
+
+
+def test_plan_derivative_matches_per_gate_derivative():
+    circuit = _mixed_circuit()
+    params = np.random.default_rng(48).uniform(-np.pi, np.pi, circuit.num_params)
+    _, _, derivatives = gradients_module._bind(circuit, params)
+    state = random_state(3, np.random.default_rng(49))
+    for i, gate in enumerate(circuit.gates):
+        for j in range(gate.kind.arity):
+            planned = clone_state(state)
+            a = gradients_module.apply_gate_derivative(
+                planned, gate, params, j, derivative=derivatives[i]
+            )
+            per_gate = clone_state(state)
+            b = gradients_module.apply_gate_derivative(per_gate, gate, params, j)
+            assert a == b
+            np.testing.assert_allclose(planned.amplitudes, per_gate.amplitudes, rtol=0, atol=1e-15)
+
+
+COUNTED = {
+    "apply_matrix": "gate_applies",
+    "clone_state": "clones",
+    "inner_product": "inner_products",
+    "apply_gate_derivative": "derivative_applies",
+    "apply_observable": "observable_applies",
+}
+
+
+@pytest.mark.parametrize("engine", [reverse_mode_gradient, reference_gradient])
+def test_engines_call_the_counted_primitives_by_name(engine, monkeypatch):
+    """Each OpCounters field equals the calls the engine makes through the
+    svgrad.gradients name of its primitive, which tracing wraps."""
+    calls = dict.fromkeys(COUNTED, 0)
+    for name in COUNTED:
+        primitive = getattr(gradients_module, name)
+
+        def counting(*args, _primitive=primitive, _name=name, **kwargs):
+            calls[_name] += 1
+            return _primitive(*args, **kwargs)
+
+        monkeypatch.setattr(gradients_module, name, counting)
+    circuit = _mixed_circuit()
+    params = np.random.default_rng(50).uniform(-np.pi, np.pi, circuit.num_params)
+    obs = Observable(3, ((0.5, "ZXI"), (-1.25, "YIZ"), (1.0, "HHH")))
+    report = engine(circuit, params, obs, random_state(3, np.random.default_rng(51)))
+    assert report.counters != OpCounters()
+    for name, field in COUNTED.items():
+        assert calls[name] == getattr(report.counters, field), name

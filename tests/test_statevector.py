@@ -285,6 +285,35 @@ def kernel(request, monkeypatch):
     return request.param
 
 
+def test_kernel_fixture_picks_the_kernel_at_call_time(kernel, monkeypatch):
+    """Under "views" every small placement reaches the view kernel, also one
+    whose gather plan was cached before: the plan cache keys on the kernel."""
+    from conftest import embed_operator, random_state
+
+    rng = np.random.default_rng(31)
+    calls = []
+    for name in ("_apply_single", "_apply_block"):
+        kernel_fn = getattr(sv, name)
+
+        def recorder(*args, _kernel_fn=kernel_fn, _name=name):
+            calls.append(_name)
+            return _kernel_fn(*args)
+
+        monkeypatch.setattr(sv, name, recorder)
+    for targets, controls in [((1,), ()), ((0,), (2,)), ((2, 0), ()), ((0, 2), (1,))]:
+        m = unitary_group.rvs(1 << len(targets), random_state=rng)
+        with monkeypatch.context() as gather_first:
+            gather_first.setattr(sv, "_GATHER_MAX_AMPS", 1 << 12)
+            apply_matrix(random_state(3, rng), m, targets, controls)
+        amps = random_state(3, rng).amplitudes
+        state = StateVector(3, amps.copy())
+        apply_matrix(state, m, targets, controls)
+        expected = embed_operator(m, targets, controls, 3) @ amps
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+    want = ["_apply_single", "_apply_single", "_apply_block", "_apply_block"]
+    assert calls == (want if kernel == "views" else [])
+
+
 @pytest.mark.parametrize("kind", MATRIX_KINDS)
 @pytest.mark.parametrize("num_targets", [1, 2])
 @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6, 7])
@@ -447,3 +476,42 @@ def test_threads_on_distinct_states_match_serial_run(num_qubits):
     assert not any(th.is_alive() for th in threads)
     for got, want in zip(results, serial):
         assert np.array_equal(got, want)
+
+
+BAD_PLACEMENTS = [
+    ((3,), (), "target qubit 3 out of range for 3 qubits"),
+    ((0,), (-1,), "control qubit -1 out of range for 3 qubits"),
+    ((1, 1), (), r"duplicate target qubits in \(1, 1\)"),
+    ((0,), (0,), r"targets \(0,\) and controls \(0,\) overlap"),
+    ((0,), (2, 2), "duplicate control"),
+    ((), (), "native kernels cover 1 or 2 targets, got 0"),
+    ((0, 1, 2), (), "native kernels cover 1 or 2 targets, got 3"),
+]
+
+
+@pytest.mark.parametrize("targets,controls,message", BAD_PLACEMENTS)
+def test_bad_placement_fails_on_every_call(targets, controls, message, kernel):
+    m = np.eye(1 << max(len(targets), 1), dtype=complex)
+    for _ in range(2):  # the second call must not find a cached plan
+        with pytest.raises(ValueError, match=message):
+            apply_matrix(init_basis_state(3), m, targets, controls)
+
+
+def test_wrong_matrix_shape_fails_on_a_cached_placement(kernel):
+    state = init_basis_state(3)
+    apply_matrix(state, X, (2,), (0,))
+    for m in (np.eye(4), np.eye(2)[:, :1], np.ones(2)):
+        with pytest.raises(ValueError, match=r"matrix shape .* does not act on 1 targets"):
+            apply_matrix(state, m, (2,), (0,))
+    with pytest.raises(ValueError, match="does not act on 2 targets"):
+        apply_matrix(state, X, (2, 1), (0,))
+    assert np.array_equal(state.amplitudes, init_basis_state(3).amplitudes)
+
+
+@pytest.mark.parametrize("num_qubits", [sv.MAX_QUBITS + 1, 64, 1 << 40])
+def test_qubit_cap_checked_before_allocation(num_qubits):
+    message = f"{num_qubits} qubits exceed the limit of {sv.MAX_QUBITS}"
+    with pytest.raises(ValueError, match=message):
+        init_basis_state(num_qubits)
+    with pytest.raises(ValueError, match="exceed the limit"):
+        StateVector(num_qubits, np.zeros(2, dtype=complex))
