@@ -10,7 +10,7 @@ returned instead of multiplied in, so the caller can fold it into a final
 inner product. A rotation derivative is one kernel call with the matrix
 U @ P, the bound rotation times its Pauli product (diagonal for Z axes),
 and defers alpha*i; the gradient engines pass U @ P in from their per-call
-plan, which evaluates it in closed form without a product. The phase-gate
+plan, which forms it as one batched product per Pauli string. The phase-gate
 derivative is a projection onto the target's |1> with deferred
 i*e^{i theta}; entry-wise matrix kinds apply the (analytic or
 finite-difference) matrix derivative with deferred 1. With
@@ -301,9 +301,9 @@ def apply_gate_derivative(
     The caller must multiply the eventual inner product by the returned
     complex factor. Performs O(1) matrix/projection applications whatever
     the gate kind. For a rotation, ``derivative``, when given, must be its
-    U @ P (``gates.rotation_times_pauli``), which is applied as is;
-    otherwise ``matrix``, when given, must be ``gate_matrix(gate, params)``
-    and is reused instead of binding again. Other kinds ignore both.
+    U @ P, which is applied as is; otherwise ``matrix``, when given, must be
+    ``gate_matrix(gate, params)`` and is reused instead of binding again.
+    Other kinds ignore both.
     """
     kind = gate.kind
     if kind.arity == 0:

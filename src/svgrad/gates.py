@@ -1,7 +1,6 @@
 """Gate matrices and helpers for 2x2 and 4x4 complex matrices."""
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Sequence
 from functools import lru_cache
@@ -55,27 +54,9 @@ def rotation_matrix(axes: str, theta: float | np.ndarray, alpha=-0.5) -> np.ndar
     ``pauli_product`` cache. ``theta`` and ``alpha`` may be arrays of one
     shape: the result is then a stack of matrices, one per angle.
     """
-    return _closed_form("I" * len(axes), axes, theta, alpha)
-
-
-def rotation_times_pauli(axes: str, theta: float | np.ndarray, alpha=-0.5) -> np.ndarray:
-    """exp(alpha * i * theta * P) @ P without a product, stacked like ``rotation_matrix``.
-
-    Equal to cos(alpha*theta) P + i sin(alpha*theta) I, since P squares to
-    the identity: the rotation's derivative in theta, divided by alpha*i.
-    """
-    return _closed_form(axes, "I" * len(axes), theta, alpha)
-
-
-def _closed_form(first: str, second: str, theta, alpha) -> np.ndarray:
-    """cos(alpha*theta) first + i sin(alpha*theta) second, for two Pauli product strings."""
-    angle = alpha * np.asarray(theta, dtype=float)
-    if angle.ndim:  # one matrix per angle
-        angle = angle[..., np.newaxis, np.newaxis]
-        c, s = np.cos(angle), np.sin(angle)
-    else:  # a scalar: no array dispatch
-        c, s = math.cos(angle), math.sin(angle)
-    return c * pauli_product(first) + (1j * s) * pauli_product(second)
+    angle = (alpha * np.asarray(theta, dtype=float))[..., np.newaxis, np.newaxis]
+    c, s = np.cos(angle), np.sin(angle)
+    return c * pauli_product("I" * len(axes)) + (1j * s) * pauli_product(axes)
 
 
 def phase_matrix(theta: float) -> np.ndarray:

@@ -118,30 +118,28 @@ def _check_call(
     return params
 
 
-def _bind(circuit: Circuit, params: np.ndarray) -> tuple[list, list, list]:
-    """Every gate bound once per gradient call: its matrix, adjoint and derivative matrix.
+def _bind(circuit: Circuit, params: np.ndarray) -> tuple[list, list]:
+    """Every gate bound once per gradient call: its matrix and derivative matrix.
 
     The derivative matrix is a rotation's U @ P, which ``apply_gate_derivative``
     applies as is; other kinds get None and bind their own. The rotations of
     one Pauli string are bound in one vectorised step.
     """
     gates = circuit.gates
-    matrices, adjoints, derivatives = ([None] * len(gates) for _ in range(3))
+    matrices, derivatives = [None] * len(gates), [None] * len(gates)
     rotations: dict[str, list[int]] = {}
     for i, gate in enumerate(gates):
         if isinstance(gate.kind, PauliRotation):
             rotations.setdefault(gate.kind.axes, []).append(i)
         else:
-            matrices[i] = m = gate_matrix(gate, params)
-            adjoints[i] = m.conj().T
+            matrices[i] = gate_matrix(gate, params)
     for axes, which in rotations.items():
         theta = params[[gates[i].param_refs[0] for i in which]]
         alpha = np.array([gates[i].kind.alpha for i in which])
         stack = g.rotation_matrix(axes, theta, alpha)
-        adjoint = np.ascontiguousarray(stack.conj().swapaxes(1, 2))
-        for i, m, a, d in zip(which, stack, adjoint, g.rotation_times_pauli(axes, theta, alpha)):
-            matrices[i], adjoints[i], derivatives[i] = m, a, d
-    return matrices, adjoints, derivatives
+        for i, m, d in zip(which, stack, stack @ g.pauli_product(axes)):
+            matrices[i], derivatives[i] = m, d
+    return matrices, derivatives
 
 
 def _forward(state: StateVector, gates, matrices, counters: OpCounters) -> None:
@@ -164,7 +162,8 @@ def _reverse_sweep(
     Callers turn the sums into gradients (2 Re for a Hermitian operator).
     """
     gates = circuit.gates
-    matrices, adjoints, derivatives = _bind(circuit, params)
+    matrices, derivatives = _bind(circuit, params)
+    adjoints = [m.conj().T for m in matrices]
     # the ket rewinds with the adjoints, but with the true inverse of a NonUnitary gate
     rewinds = [
         rewind_matrix(gate, m, i) if isinstance(gate.kind, NonUnitary) else a
@@ -235,7 +234,7 @@ def reference_gradient(
     params = _check_call(circuit, params, obs, input_state, hermitian=True)
     counters = OpCounters()
     gates = circuit.gates
-    matrices, _, derivatives = _bind(circuit, params)
+    matrices, derivatives = _bind(circuit, params)
     values = np.zeros(circuit.num_params, dtype=complex)
 
     bra = clone_state(input_state, counters)

@@ -446,14 +446,14 @@ def _mixed_circuit() -> Circuit:
 def test_plan_matches_the_per_gate_api():
     circuit = _mixed_circuit()
     params = np.random.default_rng(47).uniform(-np.pi, np.pi, circuit.num_params)
-    matrices, adjoints, derivatives = gradients_module._bind(circuit, params)
+    matrices, derivatives = gradients_module._bind(circuit, params)
     axes_seen = set()
     for i, gate in enumerate(circuit.gates):
         m = gate_matrix(gate, params)
         np.testing.assert_allclose(matrices[i], m, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(adjoints[i], m.conj().T, rtol=0, atol=1e-15)
-        if not isinstance(gate.kind, NonUnitary):
-            np.testing.assert_allclose(adjoints[i], rewind_matrix(gate, m), rtol=0, atol=1e-15)
+        # the sweep rewinds with the adjoint of the plan's matrix (inverse for NonUnitary)
+        rewind = rewind_matrix(gate, matrices[i])
+        np.testing.assert_allclose(rewind, rewind_matrix(gate, m), rtol=0, atol=1e-15)
         if isinstance(gate.kind, PauliRotation):
             axes_seen.add((gate.kind.axes, gate.kind.alpha, bool(gate.controls)))
             expected = m @ pauli_product(gate.kind.axes)
@@ -468,7 +468,7 @@ def test_plan_matches_the_per_gate_api():
 def test_plan_derivative_matches_per_gate_derivative():
     circuit = _mixed_circuit()
     params = np.random.default_rng(48).uniform(-np.pi, np.pi, circuit.num_params)
-    _, _, derivatives = gradients_module._bind(circuit, params)
+    _, derivatives = gradients_module._bind(circuit, params)
     state = random_state(3, np.random.default_rng(49))
     for i, gate in enumerate(circuit.gates):
         for j in range(gate.kind.arity):
