@@ -12,7 +12,6 @@ from .circuit import (
     PauliRotation,
     Phase,
     apply_gate,
-    apply_gate_adjoint,
     apply_gate_derivative,
     apply_gate_inverse,
     circuit_to_text,

@@ -4,18 +4,20 @@ A circuit is an ordered tuple of gates applied left-to-right onto the ket,
 plus the size of its parameter table. Gates reference parameters by table
 index; an index may appear in any number of gates.
 
-Gate derivatives follow a deferred-scalar convention: applying the
-derivative of a gate mutates the state up to a complex factor which is
-returned instead of multiplied in, so the caller can fold it into a final
-inner product. A rotation derivative is one kernel call with the matrix
-U @ P, the bound rotation times its Pauli product (diagonal for Z axes),
-and defers alpha*i; the gradient engines pass U @ P in from their per-call
-plan, which forms it as one batched product per Pauli string. The phase-gate
-derivative is a projection onto the target's |1> with deferred
+Each gate has one action (``apply_gate``), one undo (``apply_gate_inverse``,
+from ``rewind_matrix``: the adjoint, or a NonUnitary gate's true inverse)
+and one derivative (``apply_gate_derivative``). Derivatives follow a
+deferred-scalar convention: the action mutates the state up to a complex
+factor which is returned instead of multiplied in, so the caller can fold
+it into a final inner product. A rotation derivative is one kernel call
+with U @ P, the bound rotation times its Pauli product (diagonal for Z
+axes), and defers alpha*i; the gradient engines pass U @ P in from their
+per-call plan, which forms it as one batched product per Pauli string. The
+phase-gate derivative is a projection onto the target's |1> with deferred
 i*e^{i theta}; entry-wise matrix kinds apply the (analytic or
-finite-difference) matrix derivative with deferred 1. With
-controls present, the derivative action ends by zeroing every amplitude
-whose control bits are not all 1.
+finite-difference) matrix derivative with deferred 1. With controls
+present, the derivative action ends by zeroing every amplitude whose
+control bits are not all 1.
 """
 from __future__ import annotations
 
@@ -257,12 +259,6 @@ def apply_gate(state: StateVector, gate: Gate, params, counters=None) -> None:
     apply_matrix(state, gate_matrix(gate, params), gate.targets, gate.controls, counters)
 
 
-def apply_gate_adjoint(state: StateVector, gate: Gate, params, counters=None) -> None:
-    """state <- U(theta)^dagger state (conjugate transpose, same controls)."""
-    m = gate_matrix(gate, params)
-    apply_matrix(state, m.conj().T, gate.targets, gate.controls, counters)
-
-
 def rewind_matrix(gate: Gate, m: np.ndarray, gate_index: int | None = None) -> np.ndarray:
     """The matrix that undoes ``gate`` bound to ``m``.
 
@@ -279,11 +275,9 @@ def rewind_matrix(gate: Gate, m: np.ndarray, gate_index: int | None = None) -> n
         raise NonInvertibleGateError(f"non-invertible gate{where}: {exc}") from exc
 
 
-def apply_gate_inverse(
-    state: StateVector, gate: Gate, params, counters=None, gate_index: int | None = None
-) -> None:
-    """state <- U(theta)^{-1} state; identical to the adjoint for unitary kinds."""
-    m = rewind_matrix(gate, gate_matrix(gate, params), gate_index)
+def apply_gate_inverse(state: StateVector, gate: Gate, params, counters=None) -> None:
+    """state <- U(theta)^{-1} state; the adjoint (same controls) for unitary kinds."""
+    m = rewind_matrix(gate, gate_matrix(gate, params))
     apply_matrix(state, m, gate.targets, gate.controls, counters)
 
 
@@ -293,7 +287,6 @@ def apply_gate_derivative(
     params,
     which_param: int = 0,
     counters=None,
-    matrix: np.ndarray | None = None,
     derivative: np.ndarray | None = None,
 ) -> complex:
     """state <- (dU/d theta_local) state up to the returned deferred scalar.
@@ -301,9 +294,8 @@ def apply_gate_derivative(
     The caller must multiply the eventual inner product by the returned
     complex factor. Performs O(1) matrix/projection applications whatever
     the gate kind. For a rotation, ``derivative``, when given, must be its
-    U @ P, which is applied as is; otherwise ``matrix``, when given, must be
-    ``gate_matrix(gate, params)`` and is reused instead of binding again.
-    Other kinds ignore both.
+    U @ P, which is applied as is instead of binding again. Other kinds
+    ignore it.
     """
     kind = gate.kind
     if kind.arity == 0:
@@ -312,9 +304,7 @@ def apply_gate_derivative(
         raise ValueError(f"local parameter {which_param} out of range for arity {kind.arity}")
     if isinstance(kind, PauliRotation):
         if derivative is None:
-            if matrix is None:
-                matrix = gate_matrix(gate, params)
-            derivative = matrix @ g.pauli_product(kind.axes)
+            derivative = gate_matrix(gate, params) @ g.pauli_product(kind.axes)
         # dU/dtheta = alpha i U P, with P the gate's Pauli product
         apply_matrix(state, derivative, gate.targets)
         scalar = kind.alpha * 1j

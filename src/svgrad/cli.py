@@ -73,18 +73,12 @@ def _cmd_grad(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        if not obs.is_hermitian:
-            if args.method == "reference":
-                print(
-                    "error: the reference method needs a Hermitian observable",
-                    file=sys.stderr,
-                )
-                return EXIT_PARSE
-            report = non_hermitian_gradient(circuit, params, obs, input_state)
-        elif args.method == "reverse":
+        if args.method == "reference":
+            report = reference_gradient(circuit, params, obs, input_state)
+        elif obs.is_hermitian:
             report = reverse_mode_gradient(circuit, params, obs, input_state)
         else:
-            report = reference_gradient(circuit, params, obs, input_state)
+            report = non_hermitian_gradient(circuit, params, obs, input_state)
     except NonInvertibleGateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

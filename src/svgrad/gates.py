@@ -1,4 +1,4 @@
-"""Gate matrices and helpers for 2x2 and 4x4 complex matrices."""
+"""Gate matrices: one closed form for rotations, one LU inverse for 2x2 and 4x4."""
 from __future__ import annotations
 
 import warnings
@@ -65,24 +65,19 @@ def phase_matrix(theta: float) -> np.ndarray:
 
 
 def invert_small_matrix(m: np.ndarray) -> np.ndarray:
-    """Invert a 2x2 (analytically) or 4x4 (pivoted elimination) complex matrix.
+    """Invert a 2x2 or 4x4 complex matrix by pivoted LU elimination.
 
-    Raises ValueError when the determinant (2x2) or any pivot (4x4) falls
-    below PIVOT_EPS in magnitude.
+    Both sizes take the same path and the same singularity rule: ValueError
+    when any pivot falls below PIVOT_EPS in magnitude.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape == (2, 2):
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) <= PIVOT_EPS:
-            raise ValueError(f"singular 2x2 matrix (|det| = {abs(det):.3e})")
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-    if m.shape == (4, 4):
-        with warnings.catch_warnings():
-            # singularity is detected below via the pivots
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(m, check_finite=False)
-        pivots = np.abs(np.diag(lu))
-        if pivots.min() <= PIVOT_EPS:
-            raise ValueError(f"singular 4x4 matrix (min pivot = {pivots.min():.3e})")
-        return lu_solve((lu, piv), np.eye(4, dtype=complex), check_finite=False)
-    raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+    if m.shape not in ((2, 2), (4, 4)):
+        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+    with warnings.catch_warnings():
+        # singularity is detected below via the pivots
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(m, check_finite=False)
+    pivots = np.abs(np.diag(lu))
+    if pivots.min() <= PIVOT_EPS:
+        raise ValueError(f"singular {len(m)}x{len(m)} matrix (min pivot = {pivots.min():.3e})")
+    return lu_solve((lu, piv), np.eye(len(m), dtype=complex), check_finite=False)

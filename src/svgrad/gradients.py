@@ -95,7 +95,8 @@ def _check_call(
 ) -> np.ndarray:
     if hermitian and not obs.is_hermitian:
         raise ValueError(
-            "observable is not Hermitian; use non_hermitian_gradient for complex expectations"
+            "observable is not Hermitian, which this method needs; non_hermitian_gradient "
+            "(`svgrad grad --method reverse`) handles complex expectations"
         )
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.num_params,):
@@ -237,11 +238,10 @@ def reference_gradient(
     matrices, derivatives = _bind(circuit, params)
     values = np.zeros(circuit.num_params, dtype=complex)
 
-    bra = clone_state(input_state, counters)
-    _forward(bra, gates, matrices, counters)
-    psi_amps = bra.amplitudes.copy()
-    bra = apply_observable(bra, obs, counters)
-    energy = complex(np.vdot(psi_amps, bra.amplitudes))  # uncounted, as in the sweep
+    psi = clone_state(input_state, counters)
+    _forward(psi, gates, matrices, counters)
+    bra = apply_observable(psi, obs, counters)
+    energy = complex(np.vdot(psi.amplitudes, bra.amplitudes))  # uncounted, as in the sweep
 
     for i, gate in enumerate(gates):
         for j in range(gate.kind.arity):

@@ -58,10 +58,8 @@ class Observable:
             for ch in factors:
                 if ch not in FACTORS:
                     raise ValueError(f"unknown factor letter {ch!r} in {factors!r}")
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
+            if not np.isfinite(coeff):
+                raise ValueError(f"non-finite coefficient {coeff} for term {factors!r}")
 
     @cached_property
     def is_hermitian(self) -> bool:
@@ -79,7 +77,7 @@ class Observable:
 def apply_observable(state: StateVector, obs: Observable, counters=None) -> StateVector:
     """Fresh, generally unnormalised state sum_t coeff_t (factors_t) |state>.
 
-    The input is not modified. Cost O(num_terms * N * 2^N): each term copies
+    The input is not modified. Cost O(len(terms) * N * 2^N): each term copies
     the input into one scratch state, applies its non-identity single-qubit
     factors, scales it by its coefficient in place (skipped for 1) and is
     added to the sum, so no temporary state is allocated per term.
@@ -89,7 +87,7 @@ def apply_observable(state: StateVector, obs: Observable, counters=None) -> Stat
             f"qubit count mismatch: state {state.num_qubits}, observable {obs.num_qubits}"
         )
     out = np.zeros_like(state.amplitudes)
-    scratch = StateVector(state.num_qubits, state.amplitudes.copy())
+    scratch = StateVector(state.num_qubits, np.empty_like(state.amplitudes))
     for coeff, factors in obs.terms:
         np.copyto(scratch.amplitudes, state.amplitudes)
         for q, ch in enumerate(factors):

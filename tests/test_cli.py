@@ -85,7 +85,12 @@ def test_grad_non_hermitian_dispatch(tmp_path, capsys):
     assert cli.main(["grad", circ, obs, "0.7"]) == 0
     _, values = grad_lines(capsys)
     assert abs(values["p0"] - np.cos(0.7) / 2) <= 1e-7
+    capsys.readouterr()
     assert cli.main(["grad", circ, obs, "0.7", "--method", "reference"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Hermitian" in err[0]
 
 
 def test_grad_parse_error_cites_line(tmp_path, capsys):
@@ -134,6 +139,18 @@ def test_grad_negative_list_inline(tmp_path, capsys):
     _, from_file = grad_lines(capsys)
     assert inline == from_file
     assert abs(inline["p0"] - (-np.sin(-1.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("term", ["nan 0 ZZ", "inf 0 ZZ", "1 nan Z+"])
+def test_grad_non_finite_coefficient(tmp_path, capsys, term):
+    circ = write(tmp_path, "two.circ", "qubits 2\nparams 2\nry q0 p0\nry q1 p1\n")
+    obs = write(tmp_path, "bad.obs", f"qubits 2\n1 0 XX\n{term}\n")
+    assert cli.main(["grad", circ, obs, "0.1,0.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite coefficient (")
+    assert "nan" in err[0] or "inf" in err[0]
 
 
 @pytest.mark.parametrize("qubits", [31, 64])

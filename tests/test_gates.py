@@ -59,6 +59,15 @@ def test_invert_2x2_singular():
         invert_small_matrix(np.array([[1, 1], [1, 1]], dtype=complex))
 
 
+def test_invert_2x2_uses_pivot_rule():
+    # judged by the smallest LU pivot, as a 4x4 is, not by |det| (1e-16 here)
+    np.testing.assert_allclose(
+        invert_small_matrix(np.diag([1e-8, 1e-8])), np.diag([1e8, 1e8]), rtol=1e-15
+    )
+    with pytest.raises(ValueError, match="min pivot"):
+        invert_small_matrix(np.diag([1e-15, 1e3]))
+
+
 def test_invert_4x4_matches_numpy():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

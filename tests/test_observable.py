@@ -188,6 +188,12 @@ def test_validation():
         Observable(1, ((1.0, "Q"),))  # unknown letter
 
 
+@pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+def test_non_finite_coefficient_rejected(coeff):
+    with pytest.raises(ValueError, match="non-finite coefficient .* for term 'ZZ'"):
+        Observable(2, ((1.0, "XX"), (coeff, "ZZ")))
+
+
 def test_parse_round_trip():
     text = "qubits 4\n1 0 ZZII\n0.5 -0.25 HH+-\n"
     obs = parse_observable(text)
