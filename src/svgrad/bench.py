@@ -15,7 +15,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .ansatz import AnsatzSpec, build_ansatz
 from .gradients import GradientReport, reference_gradient, reverse_mode_gradient
@@ -73,8 +72,10 @@ def fit_loglog(num_params: Sequence[int], runtimes: Sequence[float], method: str
     """Least-squares fit of log(runtime) vs log(P)."""
     if len(set(num_params)) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} distinct parameter counts to fit")
-    result = linregress(np.log(np.asarray(num_params, float)), np.log(np.asarray(runtimes, float)))
-    return ScalingFit(method, float(result.slope), float(result.intercept), float(result.rvalue**2))
+    x = np.log(np.asarray(num_params, float))
+    y = np.log(np.asarray(runtimes, float))
+    slope, intercept = np.polyfit(x, y, 1)
+    return ScalingFit(method, float(slope), float(intercept), float(np.corrcoef(x, y)[0, 1] ** 2))
 
 
 def run_benchmark(

@@ -1,12 +1,10 @@
-"""Gate matrices: one closed form for rotations, one LU inverse for 2x2 and 4x4."""
+"""Gate matrices: one closed form for rotations, one pivoted inverse for 2x2 and 4x4."""
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 PIVOT_EPS = 1e-14
 
@@ -65,19 +63,24 @@ def phase_matrix(theta: float) -> np.ndarray:
 
 
 def invert_small_matrix(m: np.ndarray) -> np.ndarray:
-    """Invert a 2x2 or 4x4 complex matrix by pivoted LU elimination.
+    """Invert a 2x2 or 4x4 complex matrix by partially pivoted elimination.
 
     Both sizes take the same path and the same singularity rule: ValueError
-    when any pivot falls below PIVOT_EPS in magnitude.
+    when a pivot falls below PIVOT_EPS in magnitude. With partial pivoting
+    the pivots are those of the matrix's LU factorisation.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    with warnings.catch_warnings():
-        # singularity is detected below via the pivots
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() <= PIVOT_EPS:
-        raise ValueError(f"singular {len(m)}x{len(m)} matrix (min pivot = {pivots.min():.3e})")
-    return lu_solve((lu, piv), np.eye(len(m), dtype=complex), check_finite=False)
+    n = len(m)
+    a = np.hstack([m, np.eye(n, dtype=complex)])
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        pivot = abs(a[p, k])
+        if pivot <= PIVOT_EPS:
+            raise ValueError(f"singular {n}x{n} matrix (min pivot = {pivot:.3e})")
+        a[[k, p]] = a[[p, k]]
+        a[k] /= a[k, k]
+        others = np.arange(n) != k
+        a[others] -= np.outer(a[others, k], a[k])
+    return a[:, n:]

@@ -1,7 +1,9 @@
 """Command-line behaviour: output formats, exit codes, selftest verdicts."""
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ import svgrad.cli as cli
 from svgrad.selftest import run_selftest
 
 RY_CIRCUIT = "qubits 1\nparams 1\nry q0 p0\n"
+# a child interpreter finds this checkout's package without an install
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def write(tmp_path, name, text):
@@ -149,7 +153,7 @@ def test_grad_non_finite_coefficient(tmp_path, capsys, term):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: non-finite coefficient (")
+    assert len(err) == 1 and err[0].startswith("error: line 3: non-finite coefficient (")
     assert "nan" in err[0] or "inf" in err[0]
 
 
@@ -270,7 +274,16 @@ def test_selftest_deterministic(capsys):
 
 def test_module_entry_point():
     result = subprocess.run(
-        [sys.executable, "-m", "svgrad", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "svgrad", "--help"], capture_output=True, text=True, env=SRC_ENV
     )
     assert result.returncode == 0
     assert "grad" in result.stdout and "bench" in result.stdout and "selftest" in result.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, svgrad.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 """Tensor-product-term operators: application, adjoint, expectation, format."""
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import observable_matrix_oracle, random_state
 from svgrad.gradients import OpCounters
+import svgrad.observable as observable_module
 from svgrad.observable import (
     FACTORS,
     Observable,
@@ -151,12 +153,19 @@ def _apply_observable_with_temporaries(state, obs):
     return out
 
 
+def _with_hadamard(rng, letters, num_qubits):
+    factors = list(rng.choice(letters, size=num_qubits))
+    factors[rng.integers(num_qubits)] = "H"
+    return "".join(factors)
+
+
 @pytest.mark.parametrize("num_qubits", [3, 13])  # gather and view kernels
 def test_apply_in_place_scaling_matches_per_term_formula(num_qubits):
+    # terms with H take the per-term path, which must stay bit-exact
     rng = np.random.default_rng(34)
     letters = np.array(list("IXYZH+-"))
     coeffs = [1.0, 0.3 - 1.7j, -2.2 + 0.4j, 1j, 1.0, -0.5]
-    terms = tuple((c, "".join(rng.choice(letters, size=num_qubits))) for c in coeffs)
+    terms = tuple((c, _with_hadamard(rng, letters, num_qubits)) for c in coeffs)
     obs = Observable(num_qubits, terms)
     state = random_state(num_qubits, rng)
     np.testing.assert_array_equal(
@@ -177,6 +186,125 @@ def test_apply_allocates_no_state_per_term():
         tracemalloc.stop()
     # the result and one scratch state; a per-term temporary would add a third
     assert peak < 2.5 * state_bytes
+
+
+def _h_free_observable(num_qubits, rng, num_terms=10, with_h=0):
+    """Random H-free terms over a few flip masks, so masks repeat; then H terms."""
+    masks = rng.integers(0, 2, size=(3, num_qubits))
+    terms = []
+    for _ in range(num_terms):
+        mask = masks[rng.integers(len(masks))]
+        factors = "".join(rng.choice(list("XY+-" if m else "IZ")) for m in mask)
+        terms.append((complex(rng.normal(), rng.normal()), factors))
+    for _ in range(with_h):
+        factors = _with_hadamard(rng, list("IXYZ+-"), num_qubits)
+        terms.append((complex(rng.normal(), rng.normal()), factors))
+    return Observable(num_qubits, tuple(terms))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+def test_grouped_apply_matches_kron_oracle(num_qubits):
+    rng = np.random.default_rng(40 + num_qubits)
+    for _ in range(5):
+        obs = _h_free_observable(num_qubits, rng)
+        groups, with_h = obs._apply_plan
+        assert with_h == () and len(groups) <= 3
+        state = random_state(num_qubits, rng)
+        expected = observable_matrix_oracle(obs) @ state.amplitudes
+        np.testing.assert_allclose(apply_observable(state, obs).amplitudes, expected, atol=1e-12)
+
+
+def test_grouped_apply_matches_per_term_at_view_kernel_size():
+    rng = np.random.default_rng(47)
+    obs = _h_free_observable(13, rng, num_terms=12)
+    state = random_state(13, rng)
+    np.testing.assert_allclose(
+        apply_observable(state, obs).amplitudes,
+        _apply_observable_with_temporaries(state, obs),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("num_qubits", [3, 13])
+def test_mixed_hadamard_and_grouped_terms(num_qubits):
+    rng = np.random.default_rng(48)
+    obs = _h_free_observable(num_qubits, rng, num_terms=6, with_h=3)
+    groups, with_h = obs._apply_plan
+    assert len(with_h) == 3 and sum(len(g.terms) for g in groups) == 6
+    state = random_state(num_qubits, rng)
+    np.testing.assert_allclose(
+        apply_observable(state, obs).amplitudes,
+        _apply_observable_with_temporaries(state, obs),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+def test_diagonal_budget_boundary():
+    # three masks of 2^6 amplitudes: 3 KiB of diagonals
+    terms = ((1.0, "ZIIIII"), (0.5, "XIIIII"), (-2.0, "IYIIII"))
+    budget = 3 * 16 * 2**6
+    assert budget <= observable_module._DIAGONAL_BUDGET_BYTES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", budget)
+        cached, _ = Observable(6, terms)._apply_plan
+        mp.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", budget - 1)
+        per_call, _ = Observable(6, terms)._apply_plan
+    assert all(g.diagonal is not None for g in cached)
+    assert all(g.diagonal is None for g in per_call)
+
+
+@pytest.mark.parametrize("block_axes", [12, 2])  # 2: a term's diagonal in blocks
+@pytest.mark.parametrize("num_qubits", [5, 13])
+def test_over_budget_plan_matches_cached(monkeypatch, num_qubits, block_axes):
+    rng = np.random.default_rng(49)
+    obs = _h_free_observable(num_qubits, rng, num_terms=12)
+    terms = obs.terms + ((0.7 - 0.1j, "Z" * num_qubits), (0.25j, "+-" * (num_qubits // 2) + "Y"))
+    state = random_state(num_qubits, rng)
+    cached = Observable(num_qubits, terms)
+    expected = apply_observable(state, cached).amplitudes
+    assert all(g.diagonal is not None for g in cached._apply_plan[0])
+    monkeypatch.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", 0)
+    monkeypatch.setattr(observable_module, "_BLOCK_AXES", block_axes)
+    per_call = Observable(num_qubits, terms)
+    out = apply_observable(state, per_call).amplitudes
+    assert all(g.diagonal is None for g in per_call._apply_plan[0])
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    if num_qubits <= 6:
+        np.testing.assert_allclose(
+            out, observable_matrix_oracle(per_call) @ state.amplitudes, atol=1e-12
+        )
+
+
+def test_cached_diagonals_are_read_only():
+    obs = Observable(3, ((1.0, "XZI"), (0.5j, "Y+I"), (2.0, "ZZZ")))
+    groups, _ = obs._apply_plan
+    assert obs._apply_plan[0] is groups
+    for group in groups:
+        with pytest.raises(ValueError):
+            group.diagonal[(0,) * group.diagonal.ndim] = 1.0
+
+
+def test_threads_apply_one_fresh_observable():
+    rng = np.random.default_rng(50)
+    obs = _h_free_observable(12, rng, num_terms=40, with_h=2)
+    state = random_state(12, rng)
+    barrier = threading.Barrier(2, timeout=60)
+    results = [None, None]
+
+    def work(i):
+        barrier.wait()
+        results[i] = apply_observable(state, obs).amplitudes
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    np.testing.assert_array_equal(results[0], results[1])
+    np.testing.assert_array_equal(results[0], apply_observable(state, obs).amplitudes)
 
 
 def test_validation():
@@ -221,6 +349,12 @@ def test_parse_errors(text, line):
     with pytest.raises(ObservableParseError) as err:
         parse_observable(text)
     assert err.value.line == line
+
+
+def test_parse_non_finite_coefficient_names_line():
+    message = r"^line 3: non-finite coefficient \(nan\+0j\) for term 'ZZ'$"
+    with pytest.raises(ObservableParseError, match=message):
+        parse_observable("qubits 2\n1 0 XX\nnan 0 ZZ\n")
 
 
 def test_builtins():
