@@ -66,21 +66,27 @@ def invert_small_matrix(m: np.ndarray) -> np.ndarray:
     """Invert a 2x2 or 4x4 complex matrix by partially pivoted elimination.
 
     Both sizes take the same path and the same singularity rule: ValueError
-    when a pivot falls below PIVOT_EPS in magnitude. With partial pivoting
-    the pivots are those of the matrix's LU factorisation.
+    when the smallest pivot is at most PIVOT_EPS in magnitude. With partial
+    pivoting the pivots are those of the matrix's LU factorisation; a zero
+    pivot column has nothing to eliminate, as in LAPACK's getrf.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
     n = len(m)
     a = np.hstack([m, np.eye(n, dtype=complex)])
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = abs(a[p, k])
-        if pivot <= PIVOT_EPS:
-            raise ValueError(f"singular {n}x{n} matrix (min pivot = {pivot:.3e})")
-        a[[k, p]] = a[[p, k]]
-        a[k] /= a[k, k]
-        others = np.arange(n) != k
-        a[others] -= np.outer(a[others, k], a[k])
+    pivots = []
+    with np.errstate(all="ignore"):  # a tiny pivot may overflow what follows
+        for k in range(n):
+            p = k + int(np.argmax(np.abs(a[k:, k])))
+            pivots.append(abs(a[p, k]))
+            if pivots[-1] == 0:
+                continue
+            a[[k, p]] = a[[p, k]]
+            a[k] /= a[k, k]
+            others = np.arange(n) != k
+            a[others] -= np.outer(a[others, k], a[k])
+    min_pivot = np.nanmin(pivots)
+    if min_pivot <= PIVOT_EPS:
+        raise ValueError(f"singular {n}x{n} matrix (min pivot = {min_pivot:.3e})")
     return a[:, n:]

@@ -16,14 +16,14 @@ O psi = sum_x D_x * psi[k xor x]: one multiply and one add per mask group,
 with psi[k xor x] a reversed view of the amplitudes, never a copy. This is
 the X/Z bitmask form of Pauli strings that Qiskit's ``SparsePauliOp`` and
 qulacs use. Each observable builds its plan (the groups, their view shapes
-and, if they take at most 1 MiB together, their diagonals) on its first
-apply and keeps it, read-only. Terms with ``H`` take one ``apply_matrix`` call
-per non-identity letter instead.
+and their diagonals) on its first apply and keeps it, read-only. Terms with
+``H`` take one ``apply_matrix`` call per non-identity letter instead, and so
+does every term of an observable whose diagonals would exceed
+``_DIAGONAL_BUDGET_BYTES``.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -59,14 +59,10 @@ _DIAGONAL = {
 }
 
 # Bytes of mask-group diagonals an observable may keep between applies
-# (2^N complex amplitudes per group). All-pairs Heisenberg at N=10, 46
-# groups of 16 KiB, fits, and the diagonals stay in a typical L2 cache. A
-# plan over it keeps none and builds each group's diagonal per call in the
-# apply's one scratch state, so an apply holds the result and one scratch.
+# (2^N complex amplitudes per group): 1 MiB, which all-pairs Heisenberg at
+# N=10 (46 groups of 16 KiB) fits, and which stays in a typical L2 cache. An
+# observable over it keeps no groups and applies every term one by one.
 _DIAGONAL_BUDGET_BYTES = 1 << 20
-
-# A term's diagonal is added at most 2^12 factor products (64 KiB) at a time.
-_BLOCK_AXES = 12
 
 
 class _FlipGroup(NamedTuple):
@@ -74,8 +70,7 @@ class _FlipGroup(NamedTuple):
 
     shape: tuple[int, ...]
     flip_axes: tuple[int, ...]
-    terms: tuple[tuple[complex, str], ...]
-    diagonal: np.ndarray | None  # read-only, of ``shape``; None: built per call
+    diagonal: np.ndarray  # read-only, of ``shape``
 
 
 class ObservableParseError(ValueError):
@@ -120,7 +115,7 @@ class Observable:
 
     @cached_property
     def _apply_plan(self) -> tuple[tuple[_FlipGroup, ...], tuple[tuple[complex, str], ...]]:
-        """The H-free terms grouped by flip mask, and the terms with ``H``."""
+        """The H-free terms grouped by flip mask, and the terms applied one by one."""
         by_mask: dict[tuple[bool, ...], list[tuple[complex, str]]] = {}
         with_h = []
         for coeff, factors in self.terms:
@@ -131,7 +126,8 @@ class Observable:
                     (coeff, factors)
                 )
         n = self.num_qubits
-        cache = len(by_mask) * (16 << n) <= _DIAGONAL_BUDGET_BYTES
+        if len(by_mask) * (16 << n) > _DIAGONAL_BUDGET_BYTES:
+            return (), self.terms
         groups = []
         for mask, terms in by_mask.items():
             # axis 0 of the C-order view is qubit N-1; a run of qubits that
@@ -139,63 +135,41 @@ class Observable:
             runs = [(flip, len(list(run))) for flip, run in itertools.groupby(reversed(mask))]
             shape = tuple(1 << length for _, length in runs)
             flip_axes = tuple(a for a, (flip, _) in enumerate(runs) if flip)
-            diagonal = None
-            if cache:
-                diagonal = np.empty(1 << n, dtype=complex)
-                _fill_diagonal(diagonal, n, terms)
-                diagonal = diagonal.reshape(shape)
-                diagonal.flags.writeable = False
-            groups.append(_FlipGroup(shape, flip_axes, tuple(terms), diagonal))
+            diagonal = _group_diagonal(n, terms).reshape(shape)
+            diagonal.flags.writeable = False
+            groups.append(_FlipGroup(shape, flip_axes, diagonal))
         return tuple(groups), tuple(with_h)
 
 
-def _fill_diagonal(dest: np.ndarray, num_qubits: int, terms) -> None:
-    """dest[k] = sum_t c_t prod_q M_tq[b_q, b_q xor x_q] for one mask group.
+def _group_diagonal(num_qubits: int, terms) -> np.ndarray:
+    """D[k] = sum_t c_t prod_q M_tq[b_q, b_q xor x_q] of one mask group.
 
-    Terms of only I and X letters are constant and set the fill value. Each
-    other term adds its product of per-qubit diagonals, broadcast over the
-    qubits where it is (1, 1), in blocks of at most 2^_BLOCK_AXES products.
+    Each term adds its product of per-qubit diagonals, broadcast over the
+    qubits where it is (1, 1), to the ``(2,)*N`` view.
     """
-    view = dest.reshape((2,) * num_qubits)
-    supports = []
+    diagonal = np.zeros((2,) * num_qubits, dtype=complex)
     for coeff, factors in terms:
-        # (view axis, diagonal) of each letter that is not (1, 1), by axis
-        support = [(num_qubits - 1 - q, _DIAGONAL[ch]) for q, ch in enumerate(factors)
-                   if ch in _DIAGONAL]
-        supports.append((coeff, support[::-1]))
-    view.fill(sum(coeff for coeff, support in supports if not support))
-    for coeff, support in supports:
-        if not support:
-            continue
-        fixed, free = support[:-_BLOCK_AXES], support[-_BLOCK_AXES:]
-        for bits in itertools.product((0, 1), repeat=len(fixed)):
-            scale = coeff * math.prod(d[b] for (_, d), b in zip(fixed, bits))
-            if scale == 0:
-                continue
-            # the fixed axes all precede the free ones, so indexing them
-            # shifts every free axis down by len(fixed)
-            index = [slice(None)] * num_qubits
-            for (axis, _), b in zip(fixed, bits):
-                index[axis] = b
-            product = np.asarray(scale)
-            for axis, d in free:
-                shape = [1] * (num_qubits - len(fixed))
-                shape[axis - len(fixed)] = 2
-                product = product * d.reshape(shape)
-            view[tuple(index)] += product
+        product = np.asarray(coeff)
+        for q, ch in enumerate(factors):
+            if ch in _DIAGONAL:
+                shape = [1] * num_qubits
+                shape[num_qubits - 1 - q] = 2
+                product = product * _DIAGONAL[ch].reshape(shape)
+        diagonal += product
+    return diagonal
 
 
 def apply_observable(state: StateVector, obs: Observable, counters=None) -> StateVector:
     """Fresh, generally unnormalised state sum_t coeff_t (factors_t) |state>.
 
     The input is not modified. The H-free terms cost one multiply and one
-    add per flip-mask group, O(groups * 2^N), when their diagonals are
-    cached; past the plan's 1 MiB budget each group first builds its
-    diagonal in scratch, one more pass per term that is not constant. Each
-    term with ``H`` copies the input into the scratch state, applies its
-    non-identity single-qubit factors, scales it by its coefficient in place
-    (skipped for 1) and is added to the sum, O(N * 2^N) per term. Either way
-    the apply allocates the result and one scratch state.
+    add per flip-mask group, O(groups * 2^N), with the diagonals cached on
+    the observable. Each term with ``H``, and every term of an observable
+    past ``_DIAGONAL_BUDGET_BYTES``, copies the input into the scratch state,
+    applies its non-identity single-qubit factors, scales it by its
+    coefficient in place (skipped for 1) and is added to the sum,
+    O(N * 2^N) per term. Either way the apply allocates the result and one
+    scratch state.
     """
     if state.num_qubits != obs.num_qubits:
         raise ValueError(
@@ -205,13 +179,8 @@ def apply_observable(state: StateVector, obs: Observable, counters=None) -> Stat
     out = np.zeros_like(state.amplitudes)
     buffer = np.empty_like(state.amplitudes)
     for group in groups:
-        product = buffer.reshape(group.shape)
-        diagonal = group.diagonal
-        if diagonal is None:
-            _fill_diagonal(buffer, obs.num_qubits, group.terms)
-            diagonal = product
         flipped = np.flip(state.amplitudes.reshape(group.shape), group.flip_axes)
-        np.multiply(diagonal, flipped, out=product)
+        np.multiply(group.diagonal, flipped, out=buffer.reshape(group.shape))
         out += buffer
     scratch = StateVector(state.num_qubits, buffer)
     for coeff, factors in with_h:

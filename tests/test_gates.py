@@ -68,6 +68,12 @@ def test_invert_2x2_uses_pivot_rule():
         invert_small_matrix(np.diag([1e-15, 1e3]))
 
 
+@pytest.mark.parametrize("diagonal", [[1e-15, 0], [0, 1e-15], [1, 1e-15, 1, 0]])
+def test_invert_reports_smallest_pivot(diagonal):
+    with pytest.raises(ValueError, match=r"min pivot = 0\.000e\+00"):
+        invert_small_matrix(np.diag(diagonal))
+
+
 def test_invert_4x4_matches_numpy():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

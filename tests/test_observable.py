@@ -231,7 +231,7 @@ def test_mixed_hadamard_and_grouped_terms(num_qubits):
     rng = np.random.default_rng(48)
     obs = _h_free_observable(num_qubits, rng, num_terms=6, with_h=3)
     groups, with_h = obs._apply_plan
-    assert len(with_h) == 3 and sum(len(g.terms) for g in groups) == 6
+    assert len(with_h) == 3 and 1 <= len(groups) <= 3
     state = random_state(num_qubits, rng)
     np.testing.assert_allclose(
         apply_observable(state, obs).amplitudes,
@@ -241,40 +241,23 @@ def test_mixed_hadamard_and_grouped_terms(num_qubits):
     )
 
 
-def test_diagonal_budget_boundary():
+def test_diagonal_budget_boundary(monkeypatch):
     # three masks of 2^6 amplitudes: 3 KiB of diagonals
-    terms = ((1.0, "ZIIIII"), (0.5, "XIIIII"), (-2.0, "IYIIII"))
+    terms = ((1.0, "ZIIIII"), (0.5, "XIIIII"), (-2.0, "IYIIII"), (0.25j, "HIIIII"))
     budget = 3 * 16 * 2**6
     assert budget <= observable_module._DIAGONAL_BUDGET_BYTES
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", budget)
-        cached, _ = Observable(6, terms)._apply_plan
-        mp.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", budget - 1)
-        per_call, _ = Observable(6, terms)._apply_plan
-    assert all(g.diagonal is not None for g in cached)
-    assert all(g.diagonal is None for g in per_call)
-
-
-@pytest.mark.parametrize("block_axes", [12, 2])  # 2: a term's diagonal in blocks
-@pytest.mark.parametrize("num_qubits", [5, 13])
-def test_over_budget_plan_matches_cached(monkeypatch, num_qubits, block_axes):
-    rng = np.random.default_rng(49)
-    obs = _h_free_observable(num_qubits, rng, num_terms=12)
-    terms = obs.terms + ((0.7 - 0.1j, "Z" * num_qubits), (0.25j, "+-" * (num_qubits // 2) + "Y"))
-    state = random_state(num_qubits, rng)
-    cached = Observable(num_qubits, terms)
-    expected = apply_observable(state, cached).amplitudes
-    assert all(g.diagonal is not None for g in cached._apply_plan[0])
-    monkeypatch.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", 0)
-    monkeypatch.setattr(observable_module, "_BLOCK_AXES", block_axes)
-    per_call = Observable(num_qubits, terms)
-    out = apply_observable(state, per_call).amplitudes
-    assert all(g.diagonal is None for g in per_call._apply_plan[0])
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
-    if num_qubits <= 6:
-        np.testing.assert_allclose(
-            out, observable_matrix_oracle(per_call) @ state.amplitudes, atol=1e-12
-        )
+    monkeypatch.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", budget)
+    groups, with_h = Observable(6, terms)._apply_plan
+    assert len(groups) == 3 and with_h == terms[3:]
+    monkeypatch.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", budget - 1)
+    over = Observable(6, terms)
+    assert over._apply_plan == ((), terms)
+    # over the budget every term takes the per-term path, bit for bit
+    state = random_state(6, np.random.default_rng(49))
+    np.testing.assert_array_equal(
+        apply_observable(state, over).amplitudes,
+        _apply_observable_with_temporaries(state, over),
+    )
 
 
 def test_cached_diagonals_are_read_only():
