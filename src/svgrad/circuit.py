@@ -2,7 +2,16 @@
 
 A circuit is an ordered tuple of gates applied left-to-right onto the ket,
 plus the size of its parameter table. Gates reference parameters by table
-index; an index may appear in any number of gates.
+index; an index may appear in any number of gates. Gates and circuits are
+validated when they are built.
+
+Binding a circuit to a parameter table has a part no parameter changes:
+the rotations grouped by Pauli string, the FixedUnitary matrices with their
+adjoints, and every gate's validated kernel placement. That part is the
+circuit's ``CircuitLayout``, built on first use and cached on the circuit,
+which stays immutable. The gradient engines' per-call binding
+(``svgrad.gradients._bind``) then only evaluates what depends on the
+parameters, and hands each placement plan to the kernel.
 
 Each gate has one action (``apply_gate``), one undo (``apply_gate_inverse``,
 from ``rewind_matrix``: the adjoint, or a NonUnitary gate's true inverse)
@@ -12,7 +21,8 @@ factor which is returned instead of multiplied in, so the caller can fold
 it into a final inner product. A rotation derivative is one kernel call
 with U @ P, the bound rotation times its Pauli product (diagonal for Z
 axes), and defers alpha*i; the gradient engines pass U @ P in from their
-per-call plan, which forms it as one batched product per Pauli string. The
+per-call binding, which forms it as one batched product per Pauli string,
+together with the layout's plan for the targets without controls. The
 phase-gate derivative is a projection onto the target's |1> with deferred
 i*e^{i theta}; entry-wise matrix kinds apply the (analytic or
 finite-difference) matrix derivative with deferred 1. With controls
@@ -22,11 +32,13 @@ control bits are not all 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from functools import cached_property
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from . import gates as g
+from . import statevector as sv
 from .statevector import StateVector, apply_matrix, check_num_qubits, project_to_one
 
 ENTRY_DERIV_STEP = 1e-6  # central-difference step for entry-wise matrix derivatives
@@ -75,10 +87,20 @@ class Phase:
 
 @dataclass(frozen=True, eq=False)
 class FixedUnitary:
-    """Parameter-free gate given by an explicit 2x2 or 4x4 matrix."""
+    """Parameter-free gate given by an explicit 2x2 or 4x4 matrix.
+
+    The matrix is stored as a read-only complex copy of what was passed.
+    """
 
     matrix: np.ndarray
     name: str = ""
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        if m.shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"fixed gate matrix must be 2x2 or 4x4, got shape {m.shape}")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def arity(self) -> int:
@@ -153,6 +175,11 @@ class Gate:
             raise ValueError(f"phase gates act on one target, got {self.targets}")
         if not 1 <= len(self.targets) <= 2:
             raise ValueError(f"gates act on 1 or 2 targets, got {self.targets}")
+        if isinstance(self.kind, FixedUnitary) and len(self.kind.matrix) != 1 << len(self.targets):
+            raise ValueError(
+                f"a {len(self.kind.matrix)}x{len(self.kind.matrix)} matrix does not act on "
+                f"{len(self.targets)} target(s) {self.targets}"
+            )
 
 
 @dataclass(frozen=True)
@@ -170,6 +197,94 @@ class Circuit:
             for p in gate.param_refs:
                 if not 0 <= p < self.num_params:
                     raise ValueError(f"gate {i}: parameter index {p} out of range")
+
+    @cached_property
+    def _layout(self) -> CircuitLayout:
+        """The parameter-independent part of binding, built on first use and kept."""
+        return CircuitLayout(self)
+
+
+class RotationGroup(NamedTuple):
+    """The rotations of one Pauli string, in circuit order."""
+
+    axes: str
+    gates: tuple[int, ...]  # circuit indices
+    param_refs: np.ndarray  # one table index per gate
+    alphas: np.ndarray
+
+
+class CircuitLayout:
+    """What binding a circuit takes that no parameter value changes.
+
+    The rotations grouped by Pauli string, every FixedUnitary matrix with
+    its adjoint (None at every other index), the gates whose matrices are
+    bound one by one (Phase, CustomParametric, NonUnitary), and the
+    NonUnitary gates, whose rewind is the true inverse. Each gate's validated
+    placement plan is built per kernel choice on first use (``plans``); the
+    layout keeps one plan per distinct placement, a gather table of at most
+    32 KB or a few small tuples. Nothing here is written after construction
+    except that plan cache, whose entries are equal whichever thread builds
+    them.
+    """
+
+    def __init__(self, circuit: Circuit):
+        self.num_qubits = circuit.num_qubits
+        self.gates = circuit.gates
+        fixed: list = [None] * len(self.gates)
+        fixed_adjoints: list = [None] * len(self.gates)
+        by_axes: dict[str, list[int]] = {}
+        per_gate, inverted = [], []
+        for i, gate in enumerate(self.gates):
+            kind = gate.kind
+            if isinstance(kind, PauliRotation):
+                by_axes.setdefault(kind.axes, []).append(i)
+            elif isinstance(kind, FixedUnitary):
+                fixed[i], fixed_adjoints[i] = kind.matrix, kind.matrix.conj().T
+            else:
+                per_gate.append(i)
+                if isinstance(kind, NonUnitary):
+                    inverted.append(i)
+        self.rotations = tuple(
+            RotationGroup(
+                axes,
+                tuple(which),
+                np.array([self.gates[i].param_refs[0] for i in which]),
+                np.array([self.gates[i].kind.alpha for i in which]),
+            )
+            for axes, which in by_axes.items()
+        )
+        self.fixed, self.fixed_adjoints = tuple(fixed), tuple(fixed_adjoints)
+        self.per_gate, self.inverted = tuple(per_gate), tuple(inverted)
+        self._plans: dict[bool, tuple[tuple, tuple]] = {}
+
+    def plans(self) -> tuple[tuple, tuple]:
+        """Each gate's placement plan, and a rotation's plan without its controls.
+
+        The second is where a rotation derivative's kernel call lands (None
+        for other kinds). Both follow the kernel the register size picks at
+        call time, so each kernel choice gets its own plans.
+        """
+        gather = sv.uses_gather_kernel(self.num_qubits)
+        plans = self._plans.get(gather)
+        if plans is None:
+            # one plan per distinct placement, even where the bounded
+            # placement cache would evict and rebuild it between two gates
+            distinct: dict[tuple, object] = {}
+
+            def plan(targets: tuple, controls: tuple):
+                if (targets, controls) not in distinct:
+                    distinct[targets, controls] = sv._placement(
+                        self.num_qubits, targets, controls, gather
+                    )
+                return distinct[targets, controls]
+
+            apply = tuple(plan(gate.targets, gate.controls) for gate in self.gates)
+            derivative = tuple(
+                plan(gate.targets, ()) if isinstance(gate.kind, PauliRotation) else None
+                for gate in self.gates
+            )
+            plans = self._plans.setdefault(gather, (apply, derivative))
+        return plans
 
 
 # -- convenience constructors ------------------------------------------------
@@ -288,14 +403,17 @@ def apply_gate_derivative(
     which_param: int = 0,
     counters=None,
     derivative: np.ndarray | None = None,
+    *,
+    plan=None,
 ) -> complex:
     """state <- (dU/d theta_local) state up to the returned deferred scalar.
 
     The caller must multiply the eventual inner product by the returned
     complex factor. Performs O(1) matrix/projection applications whatever
     the gate kind. For a rotation, ``derivative``, when given, must be its
-    U @ P, which is applied as is instead of binding again. Other kinds
-    ignore it.
+    U @ P, which is applied as is instead of binding again, and ``plan``,
+    when given, the placement plan of its targets without controls, which
+    ``apply_matrix`` then uses unchecked. Other kinds ignore both.
     """
     kind = gate.kind
     if kind.arity == 0:
@@ -306,7 +424,7 @@ def apply_gate_derivative(
         if derivative is None:
             derivative = gate_matrix(gate, params) @ g.pauli_product(kind.axes)
         # dU/dtheta = alpha i U P, with P the gate's Pauli product
-        apply_matrix(state, derivative, gate.targets)
+        apply_matrix(state, derivative, gate.targets, plan=plan)
         scalar = kind.alpha * 1j
     elif isinstance(kind, Phase):
         project_to_one(state, gate.targets)

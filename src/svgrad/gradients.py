@@ -32,14 +32,13 @@ counted, so those integers stay exact transcriptions of the schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gates as g
 from .circuit import (
     Circuit,
-    NonUnitary,
-    PauliRotation,
     apply_gate_derivative,
     gate_matrix,
     rewind_matrix,
@@ -119,34 +118,49 @@ def _check_call(
     return params
 
 
-def _bind(circuit: Circuit, params: np.ndarray) -> tuple[list, list]:
-    """Every gate bound once per gradient call: its matrix and derivative matrix.
+class _Binding(NamedTuple):
+    """A circuit bound to one parameter table, gate by gate."""
 
-    The derivative matrix is a rotation's U @ P, which ``apply_gate_derivative``
-    applies as is; other kinds get None and bind their own. The rotations of
-    one Pauli string are bound in one vectorised step.
+    matrices: list
+    derivatives: list  # a rotation's U @ P; None for other kinds
+    adjoints: list | None  # the conjugate transposes, when asked for
+    plans: tuple  # each gate's placement plan, for apply_matrix
+    derivative_plans: tuple  # a rotation's plan without its controls; None for other kinds
+
+
+def _bind(circuit: Circuit, params: np.ndarray, adjoints: bool = False) -> _Binding:
+    """Everything that depends on the parameters, once per gradient call.
+
+    The circuit's cached layout (``Circuit._layout``) holds the rest: the
+    rotation groups, the FixedUnitary matrices and adjoints, and the
+    placement plans. The rotations of one Pauli string are bound by one
+    vectorised closed form, their derivatives U @ P by one batched product
+    and, with ``adjoints``, their adjoints by one conjugate transpose.
+    Only Phase, CustomParametric and NonUnitary gates go through
+    ``gate_matrix`` one by one.
     """
-    gates = circuit.gates
-    matrices, derivatives = [None] * len(gates), [None] * len(gates)
-    rotations: dict[str, list[int]] = {}
-    for i, gate in enumerate(gates):
-        if isinstance(gate.kind, PauliRotation):
-            rotations.setdefault(gate.kind.axes, []).append(i)
-        else:
-            matrices[i] = gate_matrix(gate, params)
-    for axes, which in rotations.items():
-        theta = params[[gates[i].param_refs[0] for i in which]]
-        alpha = np.array([gates[i].kind.alpha for i in which])
-        stack = g.rotation_matrix(axes, theta, alpha)
-        for i, m, d in zip(which, stack, stack @ g.pauli_product(axes)):
+    layout = circuit._layout
+    matrices = list(layout.fixed)
+    derivatives = [None] * len(matrices)
+    adjoint_list = list(layout.fixed_adjoints) if adjoints else None
+    for group in layout.rotations:
+        stack = g.rotation_matrix(group.axes, params[group.param_refs], group.alphas)
+        for i, m, d in zip(group.gates, stack, stack @ g.pauli_product(group.axes)):
             matrices[i], derivatives[i] = m, d
-    return matrices, derivatives
+        if adjoints:
+            for i, a in zip(group.gates, stack.conj().transpose(0, 2, 1)):
+                adjoint_list[i] = a
+    for i in layout.per_gate:
+        matrices[i] = gate_matrix(circuit.gates[i], params)
+        if adjoints:
+            adjoint_list[i] = matrices[i].conj().T
+    return _Binding(matrices, derivatives, adjoint_list, *layout.plans())
 
 
-def _forward(state: StateVector, gates, matrices, counters: OpCounters) -> None:
+def _forward(state: StateVector, gates, matrices, plans, counters: OpCounters) -> None:
     """Apply the bound ``matrices`` of ``gates`` to ``state`` in order."""
-    for gate, m in zip(gates, matrices):
-        apply_matrix(state, m, gate.targets, gate.controls, counters)
+    for gate, m, plan in zip(gates, matrices, plans):
+        apply_matrix(state, m, gate.targets, gate.controls, counters, plan=plan)
 
 
 def _reverse_sweep(
@@ -163,19 +177,21 @@ def _reverse_sweep(
     Callers turn the sums into gradients (2 Re for a Hermitian operator).
     """
     gates = circuit.gates
-    matrices, derivatives = _bind(circuit, params)
-    adjoints = [m.conj().T for m in matrices]
+    matrices, derivatives, adjoints, plans, derivative_plans = _bind(
+        circuit, params, adjoints=True
+    )
     # the ket rewinds with the adjoints, but with the true inverse of a NonUnitary gate
-    rewinds = [
-        rewind_matrix(gate, m, i) if isinstance(gate.kind, NonUnitary) else a
-        for i, (gate, m, a) in enumerate(zip(gates, matrices, adjoints))
-    ]
+    rewinds = adjoints
+    if circuit._layout.inverted:
+        rewinds = list(adjoints)
+        for i in circuit._layout.inverted:
+            rewinds[i] = rewind_matrix(gates[i], matrices[i], i)
     sums = np.zeros(circuit.num_params, dtype=complex)
 
     audit.acquire()  # the borrowed input
     bra = clone_state(input_state, counters)
     audit.acquire()
-    _forward(bra, gates, matrices, counters)
+    _forward(bra, gates, matrices, plans, counters)
     ket = clone_state(bra, counters)
     audit.acquire()
     bra = apply_observable(bra, obs, counters)
@@ -185,17 +201,19 @@ def _reverse_sweep(
 
     for i in range(len(gates) - 1, -1, -1):
         gate = gates[i]
-        apply_matrix(ket, rewinds[i], gate.targets, gate.controls, counters)
+        plan = plans[i]
+        apply_matrix(ket, rewinds[i], gate.targets, gate.controls, counters, plan=plan)
         for j in range(gate.kind.arity):
             probe = clone_state(ket, counters)
             audit.acquire()
             scalar = apply_gate_derivative(
-                probe, gate, params, j, counters, derivative=derivatives[i]
+                probe, gate, params, j, counters, derivative=derivatives[i],
+                plan=derivative_plans[i],
             )
             sums[gate.param_refs[j]] += scalar * inner_product(bra, probe, counters)
             audit.release()
         if i > 0:
-            apply_matrix(bra, adjoints[i], gate.targets, gate.controls, counters)
+            apply_matrix(bra, adjoints[i], gate.targets, gate.controls, counters, plan=plan)
 
     audit.release()
     audit.release()
@@ -235,22 +253,23 @@ def reference_gradient(
     params = _check_call(circuit, params, obs, input_state, hermitian=True)
     counters = OpCounters()
     gates = circuit.gates
-    matrices, derivatives = _bind(circuit, params)
+    matrices, derivatives, _, plans, derivative_plans = _bind(circuit, params)
     values = np.zeros(circuit.num_params, dtype=complex)
 
     psi = clone_state(input_state, counters)
-    _forward(psi, gates, matrices, counters)
+    _forward(psi, gates, matrices, plans, counters)
     bra = apply_observable(psi, obs, counters)
     energy = complex(np.vdot(psi.amplitudes, bra.amplitudes))  # uncounted, as in the sweep
 
     for i, gate in enumerate(gates):
         for j in range(gate.kind.arity):
             probe = clone_state(input_state, counters)
-            _forward(probe, gates[:i], matrices[:i], counters)
+            _forward(probe, gates[:i], matrices[:i], plans[:i], counters)
             scalar = apply_gate_derivative(
-                probe, gate, params, j, counters, derivative=derivatives[i]
+                probe, gate, params, j, counters, derivative=derivatives[i],
+                plan=derivative_plans[i],
             )
-            _forward(probe, gates[i + 1 :], matrices[i + 1 :], counters)
+            _forward(probe, gates[i + 1 :], matrices[i + 1 :], plans[i + 1 :], counters)
             amp = scalar * inner_product(bra, probe, counters)
             values[gate.param_refs[j]] += 2.0 * amp.real
     return GradientReport(values, energy, counters)
@@ -297,7 +316,8 @@ def finite_difference_gradient(
 
     def evaluate(theta: np.ndarray) -> complex:
         state = clone_state(input_state, counters)
-        _forward(state, circuit.gates, _bind(circuit, theta)[0], counters)
+        bound = _bind(circuit, theta)
+        _forward(state, circuit.gates, bound.matrices, bound.plans, counters)
         return expectation(state, obs, counters)
 
     values = np.zeros(circuit.num_params, dtype=complex)

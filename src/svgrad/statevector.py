@@ -38,9 +38,13 @@ Each placement (qubit count, targets, controls, and which kernel the state
 size picks) is validated once: its plan, the gather kernel's index table
 of at most 32 KB or the view kernel's shape, control index and target
 axes, sits in a bounded, read-only cache. An invalid placement raises and
-is never cached. A repeated gate then costs a matrix-shape check, the cache
-lookup and the kernel body. Neither kernel keeps a scratch buffer, so
-distinct states can be used from distinct threads.
+is never cached. Without a plan, a repeated gate costs a matrix-shape
+check, the cache lookup and the kernel body. A caller that already holds
+the plan and a complex matrix of the right shape passes both to
+``apply_matrix(plan=)``, and the call costs the kernel body alone; the
+gradient engines take every gate's plan from its circuit's cached layout.
+Neither kernel keeps a scratch buffer, so distinct states can be used from
+distinct threads.
 """
 from __future__ import annotations
 
@@ -104,7 +108,11 @@ def clone_state(src: StateVector, counters=None) -> StateVector:
     """Deep copy; mutating either state never touches the other."""
     if counters is not None:
         counters.clones += 1
-    return StateVector(src.num_qubits, src.amplitudes.copy())
+    # the source is a valid state, so its copy skips StateVector's checks
+    out = StateVector.__new__(StateVector)
+    out.num_qubits = src.num_qubits
+    out.amplitudes = src.amplitudes.copy()
+    return out
 
 
 def inner_product(bra: StateVector, ket: StateVector, counters=None) -> complex:
@@ -199,34 +207,46 @@ def _placement(num_qubits: int, targets: tuple, controls: tuple, gather: bool):
     return groups
 
 
+def uses_gather_kernel(num_qubits: int) -> bool:
+    """Whether a state of ``num_qubits`` qubits takes the gather kernel, read at call time."""
+    return (1 << num_qubits) <= _GATHER_MAX_AMPS
+
+
 def apply_matrix(
     state: StateVector,
     m: np.ndarray,
     targets: Sequence[int],
     controls: Sequence[int] = (),
     counters=None,
+    *,
+    plan=None,
 ) -> None:
     """Multiply a small matrix onto the target qubits, in place.
 
     Amplitude groups whose control bits are all 1 get the 2^k-subvector
     multiplied by ``m``; every other amplitude is untouched. ``m`` need not
     be unitary. Cost is O(2^N) independent of the matrix content.
+
+    ``plan``, when given, must be ``_placement(state.num_qubits, targets,
+    controls, uses_gather_kernel(state.num_qubits))``, with ``targets`` and
+    ``controls`` tuples and ``m`` a complex 2^k x 2^k array: the call then
+    checks nothing and runs the kernel body alone.
     """
-    targets = tuple(targets)
-    controls = tuple(controls)
+    if plan is None:
+        targets, controls = tuple(targets), tuple(controls)
+        gather = uses_gather_kernel(state.num_qubits)
+        plan = _placement(state.num_qubits, targets, controls, gather)
+        m = np.asarray(m, dtype=complex)
+        dim = 1 << len(targets)
+        if m.shape != (dim, dim):
+            raise ValueError(f"matrix shape {m.shape} does not act on {len(targets)} targets")
     amps = state.amplitudes
-    gather = amps.size <= _GATHER_MAX_AMPS
-    plan = _placement(state.num_qubits, targets, controls, gather)
-    m = np.asarray(m, dtype=complex)
-    dim = 1 << len(targets)
-    if m.shape != (dim, dim):
-        raise ValueError(f"matrix shape {m.shape} does not act on {len(targets)} targets")
-    if gather:
+    if isinstance(plan, np.ndarray):  # the gather kernel's index table
         amps[plan] = m.dot(amps[plan])
     else:
         shape, index, pos = plan
         view = amps.reshape(shape)[index]
-        if len(targets) == 1:
+        if len(pos) == 1:
             _apply_single(view, m, targets[0], pos[0], controls)
         else:
             _apply_block(view, m, pos)

@@ -310,9 +310,9 @@ def test_rotation_derivative_matches_two_step_action(gate, num_qubits):
 def test_rotation_derivative_is_one_kernel_call(gate, monkeypatch):
     matrices = []
 
-    def recording_apply_matrix(state, m, targets, controls=(), counters=None):
+    def recording_apply_matrix(state, m, targets, controls=(), counters=None, *, plan=None):
         matrices.append(np.array(m))
-        apply_matrix(state, m, targets, controls, counters)
+        apply_matrix(state, m, targets, controls, counters, plan=plan)
 
     monkeypatch.setattr(circuit_module, "apply_matrix", recording_apply_matrix)
     apply_gate_derivative(random_state(3, np.random.default_rng(24)), gate, [0.7], 0)
@@ -362,6 +362,29 @@ def test_gate_validation():
 def test_gate_rejects_duplicate_controls():
     with pytest.raises(ValueError, match="duplicate controls"):
         Gate(PauliRotation("X"), (0,), (1, 1), (0,))
+
+
+def test_fixed_unitary_keeps_a_read_only_complex_copy():
+    given = np.array([[0, 1], [1, 0]])
+    kind = FixedUnitary(given, "x")
+    given[0, 0] = 7
+    assert kind.matrix.dtype == complex
+    np.testing.assert_array_equal(kind.matrix, X)
+    with pytest.raises(ValueError, match="read-only"):
+        kind.matrix[0, 0] = 1.0
+    assert FixedUnitary([[0, 1], [1, 0]]).matrix.dtype == complex
+
+
+@pytest.mark.parametrize("matrix", [np.eye(3), np.eye(8), np.ones(2), [[1, 0]], 1.0])
+def test_fixed_unitary_needs_a_2x2_or_4x4_matrix(matrix):
+    with pytest.raises(ValueError, match="must be 2x2 or 4x4"):
+        FixedUnitary(matrix)
+
+
+@pytest.mark.parametrize("matrix,targets", [(np.eye(4), (0,)), (np.eye(2), (0, 1))])
+def test_fixed_matrix_must_match_the_target_count(matrix, targets):
+    with pytest.raises(ValueError, match="does not act on"):
+        Gate(FixedUnitary(matrix), targets)
 
 
 def test_circuit_validation():

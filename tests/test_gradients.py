@@ -1,13 +1,18 @@
 """Gradient engines: analytic cases, cross-method oracles, exact op accounting."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import svgrad.gradients as gradients_module
+import svgrad.statevector as sv
 from conftest import expectation_oracle, random_state
 from svgrad.ansatz import FAMILIES, AnsatzSpec, build_ansatz
 from svgrad.circuit import (
     Circuit,
     CustomParametric,
+    FixedUnitary,
     Gate,
     NonInvertibleGateError,
     NonUnitary,
@@ -446,20 +451,27 @@ def _mixed_circuit() -> Circuit:
 def test_plan_matches_the_per_gate_api():
     circuit = _mixed_circuit()
     params = np.random.default_rng(47).uniform(-np.pi, np.pi, circuit.num_params)
-    matrices, derivatives = gradients_module._bind(circuit, params)
+    bound = gradients_module._bind(circuit, params, adjoints=True)
+    assert gradients_module._bind(circuit, params).adjoints is None
     axes_seen = set()
     for i, gate in enumerate(circuit.gates):
         m = gate_matrix(gate, params)
-        np.testing.assert_allclose(matrices[i], m, rtol=0, atol=1e-15)
-        # the sweep rewinds with the adjoint of the plan's matrix (inverse for NonUnitary)
-        rewind = rewind_matrix(gate, matrices[i])
+        np.testing.assert_allclose(bound.matrices[i], m, rtol=0, atol=1e-15)
+        # the bra rewinds with the plan's adjoints, the ket with the adjoint
+        # or, for a NonUnitary gate, the inverse of the plan's matrix
+        np.testing.assert_array_equal(bound.adjoints[i], bound.matrices[i].conj().T)
+        rewind = rewind_matrix(gate, bound.matrices[i])
         np.testing.assert_allclose(rewind, rewind_matrix(gate, m), rtol=0, atol=1e-15)
+        assert (i in circuit._layout.inverted) == isinstance(gate.kind, NonUnitary)
+        assert bound.plans[i] is sv._placement(3, gate.targets, gate.controls, True)
         if isinstance(gate.kind, PauliRotation):
             axes_seen.add((gate.kind.axes, gate.kind.alpha, bool(gate.controls)))
             expected = m @ pauli_product(gate.kind.axes)
-            np.testing.assert_allclose(derivatives[i], expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(bound.derivatives[i], expected, rtol=0, atol=1e-15)
+            assert bound.derivative_plans[i] is sv._placement(3, gate.targets, (), True)
         else:
-            assert derivatives[i] is None
+            assert bound.derivatives[i] is None
+            assert bound.derivative_plans[i] is None
     assert {axes for axes, _, _ in axes_seen} == {"X", "Y", "Z", "XY", "ZZ"}
     assert {alpha for _, alpha, _ in axes_seen} == {-0.5, 0.25}
     assert {controlled for _, _, controlled in axes_seen} == {False, True}
@@ -468,18 +480,97 @@ def test_plan_matches_the_per_gate_api():
 def test_plan_derivative_matches_per_gate_derivative():
     circuit = _mixed_circuit()
     params = np.random.default_rng(48).uniform(-np.pi, np.pi, circuit.num_params)
-    _, derivatives = gradients_module._bind(circuit, params)
+    bound = gradients_module._bind(circuit, params)
     state = random_state(3, np.random.default_rng(49))
     for i, gate in enumerate(circuit.gates):
         for j in range(gate.kind.arity):
             planned = clone_state(state)
             a = gradients_module.apply_gate_derivative(
-                planned, gate, params, j, derivative=derivatives[i]
+                planned,
+                gate,
+                params,
+                j,
+                derivative=bound.derivatives[i],
+                plan=bound.derivative_plans[i],
             )
             per_gate = clone_state(state)
             b = gradients_module.apply_gate_derivative(per_gate, gate, params, j)
             assert a == b
             np.testing.assert_allclose(planned.amplitudes, per_gate.amplitudes, rtol=0, atol=1e-15)
+
+
+def test_fixed_gate_from_a_nested_list_runs_every_engine():
+    """A FixedUnitary given as a nested list binds like ``cx``'s array."""
+    listed = Gate(FixedUnitary([[0, 1], [1, 0]]), (1,), (0,))
+    circuit, same = (Circuit(2, (ry(0, 0), x_gate, rx(1, 1)), 2) for x_gate in (listed, cx(0, 1)))
+    obs = builtin_observable("z_all", 2)
+    state = random_state(2, np.random.default_rng(52))
+    for engine in (reverse_mode_gradient, reference_gradient, finite_difference_gradient):
+        got, want = engine(circuit, [0.3, 1.1], obs, state), engine(same, [0.3, 1.1], obs, state)
+        np.testing.assert_array_equal(got.values, want.values)
+
+
+def test_second_call_validates_no_placement(monkeypatch):
+    """Once a call has built the circuit's layout, the engines take every
+    placement from it. Entry-wise derivatives are left out: their matrices
+    come from user code and are checked on every call."""
+    gates = tuple(
+        gate
+        for gate in _mixed_circuit().gates
+        if not (isinstance(gate.kind, CustomParametric) and gate.kind.arity)
+    )
+    gates += (Gate(NonUnitary(lambda: np.diag([1.0, 0.5])), (1,), (2,)),)
+    circuit = Circuit(3, gates, 14)
+    params = np.random.default_rng(53).uniform(-np.pi, np.pi, circuit.num_params)
+    obs = Observable(3, ((0.5, "ZXI"), (-1.25, "YIZ")))
+    state = random_state(3, np.random.default_rng(54))
+    engines = (reverse_mode_gradient, reference_gradient, finite_difference_gradient)
+    warm = [engine(circuit, params, obs, state) for engine in engines]
+
+    def refuse(*args):
+        raise AssertionError(f"placement {args} validated again")
+
+    monkeypatch.setattr(sv, "_placement", refuse)
+    for engine, first in zip(engines, warm):
+        again = engine(circuit, params, obs, state)
+        np.testing.assert_array_equal(again.values, first.values)
+        assert again.energy == first.energy
+        assert again.counters == first.counters
+
+
+def test_threads_share_one_unbound_circuit():
+    """Circuits are immutable, so threads may share one: threads that race to
+    build its layout get the serial results, bit for bit."""
+    spec = AnsatzSpec("B", 4, 4)
+    circuit = build_ansatz(spec)
+    assert "_layout" not in vars(circuit)
+    rng = np.random.default_rng(55)
+    theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
+    obs = Observable(4, ((0.5, "ZXIY"), (1.0, "HIIZ")))
+    states = [random_state(4, rng) for _ in range(4)]  # more threads than two cores
+    serial = [reverse_mode_gradient(build_ansatz(spec), theta, obs, s) for s in states]
+    results = [None] * len(states)
+    start = threading.Barrier(len(states), timeout=60)
+
+    def work(k):
+        start.wait()
+        results[k] = reverse_mode_gradient(circuit, theta, obs, states[k])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(states))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.energy == want.energy
+        assert got.counters == want.counters
 
 
 COUNTED = {

@@ -1,8 +1,10 @@
 """Property test: random circuits through every engine against independent oracles."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svgrad.statevector as sv
 from conftest import expectation_oracle, random_state
 from svgrad.circuit import (
     Circuit,
@@ -90,3 +92,23 @@ def test_engines_agree_on_random_circuits(problem):
     np.testing.assert_allclose(rev.values, ref.values, rtol=0, atol=1e-10)
     np.testing.assert_allclose(rev.values, fd.values, rtol=0, atol=1e-6)
     assert abs(rev.energy - expectation_oracle(circuit, params, obs, state)) <= 1e-10
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(problems(), st.data())
+def test_cached_layout_holds_no_parameters_or_kernel_choice(problem, data):
+    """One circuit evaluated at two parameter tables, under the view kernel
+    and then the gather kernel, matches a freshly built equal circuit."""
+    circuit, params, obs, state = problem
+    angles = st.lists(st.floats(-np.pi, np.pi), min_size=len(params), max_size=len(params))
+    tables = (params, np.array(data.draw(angles)))
+    engines = (reverse_mode_gradient, reference_gradient, finite_difference_gradient)
+    for gather_max in (0, sv._GATHER_MAX_AMPS):  # 0 sends every state to the view kernel
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sv, "_GATHER_MAX_AMPS", gather_max)
+            for theta in tables:
+                fresh = Circuit(circuit.num_qubits, circuit.gates, circuit.num_params)
+                for engine in engines:
+                    got, want = engine(circuit, theta, obs, state), engine(fresh, theta, obs, state)
+                    np.testing.assert_array_equal(got.values, want.values)
+                    assert got.energy == want.energy
