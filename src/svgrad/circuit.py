@@ -7,11 +7,11 @@ validated when they are built.
 
 Binding a circuit to a parameter table has a part no parameter changes:
 the rotations grouped by Pauli string, the FixedUnitary matrices with their
-adjoints, and every gate's validated kernel placement. That part is the
-circuit's ``CircuitLayout``, built on first use and cached on the circuit,
-which stays immutable. The gradient engines' per-call binding
+adjoints, and one validated kernel placement plan per gate. That part is
+the circuit's ``CircuitLayout``, built whole on first use and cached on the
+circuit, which stays immutable. The gradient engines' per-call binding
 (``svgrad.gradients._bind``) then only evaluates what depends on the
-parameters, and hands each placement plan to the kernel.
+parameters, and the engines hand each gate's plan to the kernel.
 
 Each gate has one action (``apply_gate``), one undo (``apply_gate_inverse``,
 from ``rewind_matrix``: the adjoint, or a NonUnitary gate's true inverse)
@@ -22,8 +22,8 @@ it into a final inner product. A rotation derivative is one kernel call
 with U @ P, the bound rotation times its Pauli product (diagonal for Z
 axes), and defers alpha*i; the gradient engines pass U @ P in from their
 per-call binding, which forms it as one batched product per Pauli string,
-together with the layout's plan for the targets without controls. The
-phase-gate derivative is a projection onto the target's |1> with deferred
+together with the gate's own plan from the layout. The phase-gate
+derivative is a projection onto the target's |1> with deferred
 i*e^{i theta}; entry-wise matrix kinds apply the (analytic or
 finite-difference) matrix derivative with deferred 1. With controls
 present, the derivative action ends by zeroing every amplitude whose
@@ -89,7 +89,8 @@ class Phase:
 class FixedUnitary:
     """Parameter-free gate given by an explicit 2x2 or 4x4 matrix.
 
-    The matrix is stored as a read-only complex copy of what was passed.
+    The matrix is stored as a read-only complex copy of what was passed;
+    its entries must be finite.
     """
 
     matrix: np.ndarray
@@ -99,6 +100,9 @@ class FixedUnitary:
         m = np.array(self.matrix, dtype=complex)
         if m.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"fixed gate matrix must be 2x2 or 4x4, got shape {m.shape}")
+        bad = np.argwhere(~np.isfinite(m)).tolist()
+        if bad:
+            raise ValueError(f"fixed gate matrix has non-finite entries at (row, column) {bad}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -218,23 +222,27 @@ class CircuitLayout:
 
     The rotations grouped by Pauli string, every FixedUnitary matrix with
     its adjoint (None at every other index), the gates whose matrices are
-    bound one by one (Phase, CustomParametric, NonUnitary), and the
-    NonUnitary gates, whose rewind is the true inverse. Each gate's validated
-    placement plan is built per kernel choice on first use (``plans``); the
+    bound one by one (Phase, CustomParametric, NonUnitary), the NonUnitary
+    gates, whose rewind is the true inverse, and each gate's validated
+    placement plan (``plans``) for the kernel the register size picks. The
     layout keeps one plan per distinct placement, a gather table of at most
-    32 KB or a few small tuples. Nothing here is written after construction
-    except that plan cache, whose entries are equal whichever thread builds
-    them.
+    32 KB or a few small tuples, even where the bounded placement cache
+    would evict and rebuild it between two gates. Nothing here is written
+    after construction.
     """
 
     def __init__(self, circuit: Circuit):
-        self.num_qubits = circuit.num_qubits
-        self.gates = circuit.gates
-        fixed: list = [None] * len(self.gates)
-        fixed_adjoints: list = [None] * len(self.gates)
+        gates = circuit.gates
+        fixed: list = [None] * len(gates)
+        fixed_adjoints: list = [None] * len(gates)
         by_axes: dict[str, list[int]] = {}
-        per_gate, inverted = [], []
-        for i, gate in enumerate(self.gates):
+        per_gate, inverted, plans = [], [], []
+        distinct: dict[tuple, object] = {}  # placement -> its plan
+        for i, gate in enumerate(gates):
+            placement = gate.targets, gate.controls
+            if placement not in distinct:
+                distinct[placement] = sv._placement(circuit.num_qubits, *placement)
+            plans.append(distinct[placement])
             kind = gate.kind
             if isinstance(kind, PauliRotation):
                 by_axes.setdefault(kind.axes, []).append(i)
@@ -248,43 +256,14 @@ class CircuitLayout:
             RotationGroup(
                 axes,
                 tuple(which),
-                np.array([self.gates[i].param_refs[0] for i in which]),
-                np.array([self.gates[i].kind.alpha for i in which]),
+                np.array([gates[i].param_refs[0] for i in which]),
+                np.array([gates[i].kind.alpha for i in which]),
             )
             for axes, which in by_axes.items()
         )
         self.fixed, self.fixed_adjoints = tuple(fixed), tuple(fixed_adjoints)
         self.per_gate, self.inverted = tuple(per_gate), tuple(inverted)
-        self._plans: dict[bool, tuple[tuple, tuple]] = {}
-
-    def plans(self) -> tuple[tuple, tuple]:
-        """Each gate's placement plan, and a rotation's plan without its controls.
-
-        The second is where a rotation derivative's kernel call lands (None
-        for other kinds). Both follow the kernel the register size picks at
-        call time, so each kernel choice gets its own plans.
-        """
-        gather = sv.uses_gather_kernel(self.num_qubits)
-        plans = self._plans.get(gather)
-        if plans is None:
-            # one plan per distinct placement, even where the bounded
-            # placement cache would evict and rebuild it between two gates
-            distinct: dict[tuple, object] = {}
-
-            def plan(targets: tuple, controls: tuple):
-                if (targets, controls) not in distinct:
-                    distinct[targets, controls] = sv._placement(
-                        self.num_qubits, targets, controls, gather
-                    )
-                return distinct[targets, controls]
-
-            apply = tuple(plan(gate.targets, gate.controls) for gate in self.gates)
-            derivative = tuple(
-                plan(gate.targets, ()) if isinstance(gate.kind, PauliRotation) else None
-                for gate in self.gates
-            )
-            plans = self._plans.setdefault(gather, (apply, derivative))
-        return plans
+        self.plans = tuple(plans)
 
 
 # -- convenience constructors ------------------------------------------------
@@ -412,8 +391,10 @@ def apply_gate_derivative(
     complex factor. Performs O(1) matrix/projection applications whatever
     the gate kind. For a rotation, ``derivative``, when given, must be its
     U @ P, which is applied as is instead of binding again, and ``plan``,
-    when given, the placement plan of its targets without controls, which
-    ``apply_matrix`` then uses unchecked. Other kinds ignore both.
+    when given, the gate's own placement plan, which ``apply_matrix`` then
+    uses unchecked. Other kinds ignore both. U @ P is applied with the
+    gate's controls, and the closing projection zeroes the amplitudes it
+    left alone.
     """
     kind = gate.kind
     if kind.arity == 0:
@@ -424,7 +405,7 @@ def apply_gate_derivative(
         if derivative is None:
             derivative = gate_matrix(gate, params) @ g.pauli_product(kind.axes)
         # dU/dtheta = alpha i U P, with P the gate's Pauli product
-        apply_matrix(state, derivative, gate.targets, plan=plan)
+        apply_matrix(state, derivative, gate.targets, gate.controls, plan=plan)
         scalar = kind.alpha * 1j
     elif isinstance(kind, Phase):
         project_to_one(state, gate.targets)

@@ -119,42 +119,42 @@ def _check_call(
 
 
 class _Binding(NamedTuple):
-    """A circuit bound to one parameter table, gate by gate."""
+    """The parameter-dependent matrices of a circuit bound to one table, gate by gate."""
 
     matrices: list
-    derivatives: list  # a rotation's U @ P; None for other kinds
+    derivatives: list | None  # a rotation's U @ P, None for other kinds; when asked for
     adjoints: list | None  # the conjugate transposes, when asked for
-    plans: tuple  # each gate's placement plan, for apply_matrix
-    derivative_plans: tuple  # a rotation's plan without its controls; None for other kinds
 
 
-def _bind(circuit: Circuit, params: np.ndarray, adjoints: bool = False) -> _Binding:
-    """Everything that depends on the parameters, once per gradient call.
+def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Binding:
+    """Everything that depends on the parameters, once per engine call.
 
     The circuit's cached layout (``Circuit._layout``) holds the rest: the
     rotation groups, the FixedUnitary matrices and adjoints, and the
     placement plans. The rotations of one Pauli string are bound by one
-    vectorised closed form, their derivatives U @ P by one batched product
-    and, with ``adjoints``, their adjoints by one conjugate transpose.
-    Only Phase, CustomParametric and NonUnitary gates go through
-    ``gate_matrix`` one by one.
+    vectorised closed form. With ``gradient``, for the reverse and reference
+    schedules, their derivatives U @ P come from one batched product and
+    their adjoints from one conjugate transpose; without it, as for finite
+    differences, only the matrices are formed. Only Phase, CustomParametric
+    and NonUnitary gates go through ``gate_matrix`` one by one.
     """
     layout = circuit._layout
     matrices = list(layout.fixed)
-    derivatives = [None] * len(matrices)
-    adjoint_list = list(layout.fixed_adjoints) if adjoints else None
+    derivatives = [None] * len(matrices) if gradient else None
+    adjoints = list(layout.fixed_adjoints) if gradient else None
     for group in layout.rotations:
         stack = g.rotation_matrix(group.axes, params[group.param_refs], group.alphas)
-        for i, m, d in zip(group.gates, stack, stack @ g.pauli_product(group.axes)):
-            matrices[i], derivatives[i] = m, d
-        if adjoints:
-            for i, a in zip(group.gates, stack.conj().transpose(0, 2, 1)):
-                adjoint_list[i] = a
+        for i, m in zip(group.gates, stack):
+            matrices[i] = m
+        if gradient:
+            products = stack @ g.pauli_product(group.axes)
+            for i, d, a in zip(group.gates, products, stack.conj().transpose(0, 2, 1)):
+                derivatives[i], adjoints[i] = d, a
     for i in layout.per_gate:
         matrices[i] = gate_matrix(circuit.gates[i], params)
-        if adjoints:
-            adjoint_list[i] = matrices[i].conj().T
-    return _Binding(matrices, derivatives, adjoint_list, *layout.plans())
+        if gradient:
+            adjoints[i] = matrices[i].conj().T
+    return _Binding(matrices, derivatives, adjoints)
 
 
 def _forward(state: StateVector, gates, matrices, plans, counters: OpCounters) -> None:
@@ -176,10 +176,8 @@ def _reverse_sweep(
     Returns the complex per-parameter sums and the expectation at theta.
     Callers turn the sums into gradients (2 Re for a Hermitian operator).
     """
-    gates = circuit.gates
-    matrices, derivatives, adjoints, plans, derivative_plans = _bind(
-        circuit, params, adjoints=True
-    )
+    gates, plans = circuit.gates, circuit._layout.plans
+    matrices, derivatives, adjoints = _bind(circuit, params, gradient=True)
     # the ket rewinds with the adjoints, but with the true inverse of a NonUnitary gate
     rewinds = adjoints
     if circuit._layout.inverted:
@@ -207,8 +205,7 @@ def _reverse_sweep(
             probe = clone_state(ket, counters)
             audit.acquire()
             scalar = apply_gate_derivative(
-                probe, gate, params, j, counters, derivative=derivatives[i],
-                plan=derivative_plans[i],
+                probe, gate, params, j, counters, derivative=derivatives[i], plan=plan
             )
             sums[gate.param_refs[j]] += scalar * inner_product(bra, probe, counters)
             audit.release()
@@ -252,8 +249,8 @@ def reference_gradient(
     """
     params = _check_call(circuit, params, obs, input_state, hermitian=True)
     counters = OpCounters()
-    gates = circuit.gates
-    matrices, derivatives, _, plans, derivative_plans = _bind(circuit, params)
+    gates, plans = circuit.gates, circuit._layout.plans
+    matrices, derivatives, _ = _bind(circuit, params, gradient=True)
     values = np.zeros(circuit.num_params, dtype=complex)
 
     psi = clone_state(input_state, counters)
@@ -266,8 +263,7 @@ def reference_gradient(
             probe = clone_state(input_state, counters)
             _forward(probe, gates[:i], matrices[:i], plans[:i], counters)
             scalar = apply_gate_derivative(
-                probe, gate, params, j, counters, derivative=derivatives[i],
-                plan=derivative_plans[i],
+                probe, gate, params, j, counters, derivative=derivatives[i], plan=plans[i]
             )
             _forward(probe, gates[i + 1 :], matrices[i + 1 :], plans[i + 1 :], counters)
             amp = scalar * inner_product(bra, probe, counters)
@@ -316,8 +312,8 @@ def finite_difference_gradient(
 
     def evaluate(theta: np.ndarray) -> complex:
         state = clone_state(input_state, counters)
-        bound = _bind(circuit, theta)
-        _forward(state, circuit.gates, bound.matrices, bound.plans, counters)
+        matrices = _bind(circuit, theta).matrices
+        _forward(state, circuit.gates, matrices, circuit._layout.plans, counters)
         return expectation(state, obs, counters)
 
     values = np.zeros(circuit.num_params, dtype=complex)

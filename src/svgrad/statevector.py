@@ -34,13 +34,13 @@ States of at most 2^12 amplitudes take a gather kernel instead. At that
 size Python and NumPy dispatch set the cost, and one fancy-indexed read and
 write is the cheapest body.
 
-Each placement (qubit count, targets, controls, and which kernel the state
-size picks) is validated once: its plan, the gather kernel's index table
-of at most 32 KB or the view kernel's shape, control index and target
-axes, sits in a bounded, read-only cache. An invalid placement raises and
-is never cached. Without a plan, a repeated gate costs a matrix-shape
-check, the cache lookup and the kernel body. A caller that already holds
-the plan and a complex matrix of the right shape passes both to
+Each placement (qubit count, targets, controls) is validated once. Its
+plan sits in a bounded, read-only cache: the gather kernel's index table
+of at most 32 KB, or the view kernel's shape, control index and target
+axes, whichever the qubit count picks. An invalid placement raises and is
+never cached. Without a plan, a repeated gate costs a matrix-shape check,
+the cache lookup and the kernel body. A caller that already holds the
+plan and a complex matrix of the right shape passes both to
 ``apply_matrix(plan=)``, and the call costs the kernel body alone; the
 gradient engines take every gate's plan from its circuit's cached layout.
 Neither kernel keeps a scratch buffer, so distinct states can be used from
@@ -167,15 +167,16 @@ def _pieces(view: np.ndarray, axis: int) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=256)  # gather tables are at most 32 KB each
-def _placement(num_qubits: int, targets: tuple, controls: tuple, gather: bool):
+def _placement(num_qubits: int, targets: tuple, controls: tuple):
     """Validate one ``apply_matrix`` placement and return its kernel plan.
 
-    For the view kernel the plan is the view shape, the index that fixes
-    each control axis at 1, and where each target axis sits once the control
-    axes are indexed away. For the gather kernel it is a read-only (2^k, M)
-    table of amplitude indices: column j holds one group of 2^k amplitudes
-    that a k-target matrix mixes, restricted to control bits all 1. An
-    invalid placement raises, so it is never cached.
+    The qubit count picks the kernel, so a plan keeps the kernel it was
+    built for. For the view kernel the plan is the view shape, the index
+    that fixes each control axis at 1, and where each target axis sits once
+    the control axes are indexed away. For the gather kernel it is a
+    read-only (2^k, M) table of amplitude indices: column j holds one group
+    of 2^k amplitudes that a k-target matrix mixes, restricted to control
+    bits all 1. An invalid placement raises, so it is never cached.
     """
     for label, qubits in (("target", targets), ("control", controls)):
         for q in qubits:
@@ -197,7 +198,7 @@ def _placement(num_qubits: int, targets: tuple, controls: tuple, gather: bool):
     for c in controls:
         index[axis[c]] = 1
     pos = tuple(axis[t] - sum(axis[c] < axis[t] for c in controls) for t in targets)
-    if not gather:
+    if (1 << num_qubits) > _GATHER_MAX_AMPS:
         return shape, tuple(index), pos
     # the amplitude indices, laid out as _apply_block lays out the amplitudes
     view = np.arange(1 << num_qubits).reshape(shape)[tuple(index)]
@@ -205,11 +206,6 @@ def _placement(num_qubits: int, targets: tuple, controls: tuple, gather: bool):
     groups = view.transpose(pos[::-1] + rest).reshape(1 << len(targets), -1)
     groups.flags.writeable = False
     return groups
-
-
-def uses_gather_kernel(num_qubits: int) -> bool:
-    """Whether a state of ``num_qubits`` qubits takes the gather kernel, read at call time."""
-    return (1 << num_qubits) <= _GATHER_MAX_AMPS
 
 
 def apply_matrix(
@@ -228,14 +224,13 @@ def apply_matrix(
     be unitary. Cost is O(2^N) independent of the matrix content.
 
     ``plan``, when given, must be ``_placement(state.num_qubits, targets,
-    controls, uses_gather_kernel(state.num_qubits))``, with ``targets`` and
-    ``controls`` tuples and ``m`` a complex 2^k x 2^k array: the call then
-    checks nothing and runs the kernel body alone.
+    controls)``, with ``targets`` and ``controls`` tuples and ``m`` a
+    complex 2^k x 2^k array: the call then checks nothing and runs the
+    kernel body alone.
     """
     if plan is None:
         targets, controls = tuple(targets), tuple(controls)
-        gather = uses_gather_kernel(state.num_qubits)
-        plan = _placement(state.num_qubits, targets, controls, gather)
+        plan = _placement(state.num_qubits, targets, controls)
         m = np.asarray(m, dtype=complex)
         dim = 1 << len(targets)
         if m.shape != (dim, dim):

@@ -1,9 +1,16 @@
-"""Shared independent oracles: dense operators assembled the slow, obvious way."""
+"""Shared independent oracles: dense operators assembled the slow, obvious way.
+
+Also ``kernel_choice``, the one switch between the two gate kernels.
+"""
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
+import svgrad.statevector as sv
 from svgrad.circuit import (
     Circuit,
     CustomParametric,
@@ -26,6 +33,32 @@ _SIGMA = {
     "+": np.array([[0, 0], [1, 0]], dtype=complex),
     "-": np.array([[0, 1], [0, 0]], dtype=complex),
 }
+
+
+@contextmanager
+def kernel_choice(kernel: str):
+    """Run the block with small states on the "gather" or the "views" kernel.
+
+    Sets ``statevector._GATHER_MAX_AMPS`` (0 sends every state to the view
+    kernel) and clears the placement cache on entry and on exit: a cached
+    plan keeps the kernel it was built for, so a plan of the other kernel
+    must not leak in or out.
+    """
+    default = sv._GATHER_MAX_AMPS
+    sv._placement.cache_clear()
+    sv._GATHER_MAX_AMPS = {"gather": default, "views": 0}[kernel]
+    try:
+        yield
+    finally:
+        sv._GATHER_MAX_AMPS = default
+        sv._placement.cache_clear()
+
+
+@pytest.fixture(params=["gather", "views"])
+def kernel(request):
+    """Run a small-state test through the gather kernel or through the view kernel."""
+    with kernel_choice(request.param):
+        yield request.param
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:

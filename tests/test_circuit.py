@@ -381,6 +381,17 @@ def test_fixed_unitary_needs_a_2x2_or_4x4_matrix(matrix):
         FixedUnitary(matrix)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_fixed_unitary_rejects_non_finite_entries(entry):
+    """A NaN or infinite entry fails at construction, not as a NaN gradient."""
+    matrix = np.eye(4, dtype=complex)
+    matrix[2, 1] = entry
+    with pytest.raises(ValueError, match=r"non-finite entries at \(row, column\) \[\[2, 1\]\]"):
+        FixedUnitary(matrix)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        Gate(FixedUnitary(np.array([[entry, 0], [0, 1]])), (0,))
+
+
 @pytest.mark.parametrize("matrix,targets", [(np.eye(4), (0,)), (np.eye(2), (0, 1))])
 def test_fixed_matrix_must_match_the_target_count(matrix, targets):
     with pytest.raises(ValueError, match="does not act on"):

@@ -448,11 +448,12 @@ def _mixed_circuit() -> Circuit:
     return Circuit(3, gates, 14)
 
 
-def test_plan_matches_the_per_gate_api():
+def test_plan_matches_the_per_gate_api(kernel):
     circuit = _mixed_circuit()
     params = np.random.default_rng(47).uniform(-np.pi, np.pi, circuit.num_params)
-    bound = gradients_module._bind(circuit, params, adjoints=True)
-    assert gradients_module._bind(circuit, params).adjoints is None
+    bound = gradients_module._bind(circuit, params, gradient=True)
+    matrices_only = gradients_module._bind(circuit, params)
+    assert matrices_only.derivatives is None and matrices_only.adjoints is None
     axes_seen = set()
     for i, gate in enumerate(circuit.gates):
         m = gate_matrix(gate, params)
@@ -463,24 +464,25 @@ def test_plan_matches_the_per_gate_api():
         rewind = rewind_matrix(gate, bound.matrices[i])
         np.testing.assert_allclose(rewind, rewind_matrix(gate, m), rtol=0, atol=1e-15)
         assert (i in circuit._layout.inverted) == isinstance(gate.kind, NonUnitary)
-        assert bound.plans[i] is sv._placement(3, gate.targets, gate.controls, True)
+        np.testing.assert_array_equal(matrices_only.matrices[i], bound.matrices[i])
+        plan = circuit._layout.plans[i]
+        assert plan is sv._placement(3, gate.targets, gate.controls)
+        assert isinstance(plan, np.ndarray) == (kernel == "gather")
         if isinstance(gate.kind, PauliRotation):
             axes_seen.add((gate.kind.axes, gate.kind.alpha, bool(gate.controls)))
             expected = m @ pauli_product(gate.kind.axes)
             np.testing.assert_allclose(bound.derivatives[i], expected, rtol=0, atol=1e-15)
-            assert bound.derivative_plans[i] is sv._placement(3, gate.targets, (), True)
         else:
             assert bound.derivatives[i] is None
-            assert bound.derivative_plans[i] is None
     assert {axes for axes, _, _ in axes_seen} == {"X", "Y", "Z", "XY", "ZZ"}
     assert {alpha for _, alpha, _ in axes_seen} == {-0.5, 0.25}
     assert {controlled for _, _, controlled in axes_seen} == {False, True}
 
 
-def test_plan_derivative_matches_per_gate_derivative():
+def test_plan_derivative_matches_per_gate_derivative(kernel):
     circuit = _mixed_circuit()
     params = np.random.default_rng(48).uniform(-np.pi, np.pi, circuit.num_params)
-    bound = gradients_module._bind(circuit, params)
+    bound = gradients_module._bind(circuit, params, gradient=True)
     state = random_state(3, np.random.default_rng(49))
     for i, gate in enumerate(circuit.gates):
         for j in range(gate.kind.arity):
@@ -491,7 +493,7 @@ def test_plan_derivative_matches_per_gate_derivative():
                 params,
                 j,
                 derivative=bound.derivatives[i],
-                plan=bound.derivative_plans[i],
+                plan=circuit._layout.plans[i],
             )
             per_gate = clone_state(state)
             b = gradients_module.apply_gate_derivative(per_gate, gate, params, j)

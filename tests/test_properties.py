@@ -1,11 +1,9 @@
 """Property test: random circuits through every engine against independent oracles."""
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import svgrad.statevector as sv
-from conftest import expectation_oracle, random_state
+from conftest import expectation_oracle, kernel_choice, random_state
 from svgrad.circuit import (
     Circuit,
     CustomParametric,
@@ -97,18 +95,27 @@ def test_engines_agree_on_random_circuits(problem):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(problems(), st.data())
 def test_cached_layout_holds_no_parameters_or_kernel_choice(problem, data):
-    """One circuit evaluated at two parameter tables, under the view kernel
-    and then the gather kernel, matches a freshly built equal circuit."""
-    circuit, params, obs, state = problem
+    """One circuit evaluated at two parameter tables matches a freshly built
+    equal circuit, under the view kernel and under the gather kernel, and
+    the calls leave its layout as they found it."""
+    problem_circuit, params, obs, state = problem
     angles = st.lists(st.floats(-np.pi, np.pi), min_size=len(params), max_size=len(params))
     tables = (params, np.array(data.draw(angles)))
     engines = (reverse_mode_gradient, reference_gradient, finite_difference_gradient)
-    for gather_max in (0, sv._GATHER_MAX_AMPS):  # 0 sends every state to the view kernel
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sv, "_GATHER_MAX_AMPS", gather_max)
+
+    def rebuilt():
+        return Circuit(problem_circuit.num_qubits, problem_circuit.gates, problem_circuit.num_params)
+
+    for kernel in ("views", "gather"):
+        with kernel_choice(kernel):
+            circuit = rebuilt()
+            layout = dict(vars(circuit._layout))
             for theta in tables:
-                fresh = Circuit(circuit.num_qubits, circuit.gates, circuit.num_params)
+                fresh = rebuilt()
                 for engine in engines:
                     got, want = engine(circuit, theta, obs, state), engine(fresh, theta, obs, state)
                     np.testing.assert_array_equal(got.values, want.values)
                     assert got.energy == want.energy
+            after = vars(circuit._layout)
+            assert after.keys() == layout.keys()
+            assert all(after[name] is value for name, value in layout.items())

@@ -277,17 +277,9 @@ def _placements(num_qubits: int, num_targets: int):
                 yield targets, controls
 
 
-@pytest.fixture(params=["gather", "views"])
-def kernel(request, monkeypatch):
-    """Run a small-state test through the gather kernel or through the view kernel."""
-    if request.param == "views":
-        monkeypatch.setattr(sv, "_GATHER_MAX_AMPS", 0)
-    return request.param
-
-
 def test_kernel_fixture_picks_the_kernel_at_call_time(kernel, monkeypatch):
-    """Under "views" every small placement reaches the view kernel, also one
-    whose gather plan was cached before: the plan cache keys on the kernel."""
+    """Under "views" every small placement reaches the view kernel, under
+    "gather" none does."""
     from conftest import embed_operator, random_state
 
     rng = np.random.default_rng(31)
@@ -302,9 +294,6 @@ def test_kernel_fixture_picks_the_kernel_at_call_time(kernel, monkeypatch):
         monkeypatch.setattr(sv, name, recorder)
     for targets, controls in [((1,), ()), ((0,), (2,)), ((2, 0), ()), ((0, 2), (1,))]:
         m = unitary_group.rvs(1 << len(targets), random_state=rng)
-        with monkeypatch.context() as gather_first:
-            gather_first.setattr(sv, "_GATHER_MAX_AMPS", 1 << 12)
-            apply_matrix(random_state(3, rng), m, targets, controls)
         amps = random_state(3, rng).amplitudes
         state = StateVector(3, amps.copy())
         apply_matrix(state, m, targets, controls)
