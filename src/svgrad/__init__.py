@@ -20,6 +20,7 @@ from .circuit import (
     crz,
     cx,
     fixed,
+    gate_derivative,
     gate_matrix,
     parse_circuit,
     phase_gate,

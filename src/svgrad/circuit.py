@@ -15,19 +15,16 @@ parameters, and the engines hand each gate's plan to the kernel.
 
 Each gate has one action (``apply_gate``), one undo (``apply_gate_inverse``,
 from ``rewind_matrix``: the adjoint, or a NonUnitary gate's true inverse)
-and one derivative (``apply_gate_derivative``). Derivatives follow a
-deferred-scalar convention: the action mutates the state up to a complex
-factor which is returned instead of multiplied in, so the caller can fold
-it into a final inner product. A rotation derivative is one kernel call
-with U @ P, the bound rotation times its Pauli product (diagonal for Z
-axes), and defers alpha*i; the gradient engines pass U @ P in from their
-per-call binding, which forms it as one batched product per Pauli string,
-together with the gate's own plan from the layout. The phase-gate
-derivative is a projection onto the target's |1> with deferred
-i*e^{i theta}; entry-wise matrix kinds apply the (analytic or
-finite-difference) matrix derivative with deferred 1. With controls
-present, the derivative action ends by zeroing every amplitude whose
-control bits are not all 1.
+and one derivative matrix per parameter (``gate_derivative``), dU/dtheta
+itself: alpha*i*(U @ P) for a rotation with Pauli product P,
+diag(0, i*e^{i theta}) for a phase gate, and the analytic or central
+difference matrix derivative of an entry-wise kind, whose user functions
+are checked for shape and finite entries on every evaluation.
+``apply_gate_derivative`` applies that matrix with the gate's controls
+and then zeroes every amplitude whose control bits are not all 1. The
+gradient engines pass the matrix in from their per-call binding, which
+forms the rotation derivatives as one batched product per Pauli string,
+together with the gate's own plan from the layout.
 """
 from __future__ import annotations
 
@@ -221,14 +218,13 @@ class CircuitLayout:
     """What binding a circuit takes that no parameter value changes.
 
     The rotations grouped by Pauli string, every FixedUnitary matrix with
-    its adjoint (None at every other index), the gates whose matrices are
-    bound one by one (Phase, CustomParametric, NonUnitary), the NonUnitary
-    gates, whose rewind is the true inverse, and each gate's validated
-    placement plan (``plans``) for the kernel the register size picks. The
-    layout keeps one plan per distinct placement, a gather table of at most
-    32 KB or a few small tuples, even where the bounded placement cache
-    would evict and rebuild it between two gates. Nothing here is written
-    after construction.
+    its adjoint (None at every other index), the gates whose matrices and
+    derivatives are bound one by one (Phase, CustomParametric, NonUnitary),
+    and each gate's validated placement plan (``plans``) for the kernel the
+    register size picks. The layout keeps one plan per distinct placement,
+    a gather table of at most 32 KB or a few small tuples, even where the
+    bounded placement cache would evict and rebuild it between two gates.
+    Nothing here is written after construction.
     """
 
     def __init__(self, circuit: Circuit):
@@ -236,7 +232,7 @@ class CircuitLayout:
         fixed: list = [None] * len(gates)
         fixed_adjoints: list = [None] * len(gates)
         by_axes: dict[str, list[int]] = {}
-        per_gate, inverted, plans = [], [], []
+        per_gate, plans = [], []
         distinct: dict[tuple, object] = {}  # placement -> its plan
         for i, gate in enumerate(gates):
             placement = gate.targets, gate.controls
@@ -250,8 +246,6 @@ class CircuitLayout:
                 fixed[i], fixed_adjoints[i] = kind.matrix, kind.matrix.conj().T
             else:
                 per_gate.append(i)
-                if isinstance(kind, NonUnitary):
-                    inverted.append(i)
         self.rotations = tuple(
             RotationGroup(
                 axes,
@@ -262,8 +256,7 @@ class CircuitLayout:
             for axes, which in by_axes.items()
         )
         self.fixed, self.fixed_adjoints = tuple(fixed), tuple(fixed_adjoints)
-        self.per_gate, self.inverted = tuple(per_gate), tuple(inverted)
-        self.plans = tuple(plans)
+        self.per_gate, self.plans = tuple(per_gate), tuple(plans)
 
 
 # -- convenience constructors ------------------------------------------------
@@ -317,6 +310,24 @@ def _bound_values(gate: Gate, params) -> list[float]:
     return [float(params[k]) for k in gate.param_refs]
 
 
+def _user_matrix(m, gate: Gate, what: str) -> np.ndarray:
+    """A matrix that a gate's user function returned, as a checked complex array.
+
+    Raises ValueError unless it is 2^k x 2^k for the gate's k targets with
+    finite entries: the kernels check neither once a plan is given.
+    """
+    m = np.asarray(m, dtype=complex)
+    dim = 1 << len(gate.targets)
+    if m.shape != (dim, dim):
+        raise ValueError(
+            f"{what} function returned shape {m.shape} for {len(gate.targets)} targets"
+        )
+    bad = np.argwhere(~np.isfinite(m)).tolist()
+    if bad:
+        raise ValueError(f"{what} function returned non-finite entries at (row, column) {bad}")
+    return m
+
+
 def gate_matrix(gate: Gate, params) -> np.ndarray:
     """The gate's target-space matrix at the given parameter table."""
     kind = gate.kind
@@ -326,25 +337,33 @@ def gate_matrix(gate: Gate, params) -> np.ndarray:
         return g.phase_matrix(float(params[gate.param_refs[0]]))
     if isinstance(kind, FixedUnitary):
         return kind.matrix
-    m = np.asarray(kind.matrix_fn(*_bound_values(gate, params)), dtype=complex)
-    dim = 1 << len(gate.targets)
-    if m.shape != (dim, dim):
-        raise ValueError(
-            f"matrix function returned shape {m.shape} for {len(gate.targets)} targets"
-        )
-    return m
+    return _user_matrix(kind.matrix_fn(*_bound_values(gate, params)), gate, "matrix")
 
 
-def _matrix_derivative(gate: Gate, values: list[float], which: int) -> np.ndarray:
+def gate_derivative(gate: Gate, params, which_param: int = 0) -> np.ndarray:
+    """dU/dtheta: the target-space matrix's derivative in local parameter ``which_param``.
+
+    alpha*i*(U @ P) for a rotation with Pauli product P, diag(0, i*e^{i theta})
+    for a phase gate, and for an entry-wise kind its ``derivative_fn`` or a
+    central difference of its ``matrix_fn`` with step ENTRY_DERIV_STEP.
+    """
     kind = gate.kind
+    if kind.arity == 0:
+        raise ValueError(f"{type(kind).__name__} gate has no parameter to differentiate")
+    if not 0 <= which_param < kind.arity:
+        raise ValueError(f"local parameter {which_param} out of range for arity {kind.arity}")
+    if isinstance(kind, PauliRotation):
+        return kind.alpha * 1j * (gate_matrix(gate, params) @ g.pauli_product(kind.axes))
+    values = _bound_values(gate, params)
+    if isinstance(kind, Phase):
+        return np.diag([0, 1j * np.exp(1j * values[0])])
     if kind.derivative_fn is not None:
-        return np.asarray(kind.derivative_fn(which, *values), dtype=complex)
-    hi = list(values)
-    lo = list(values)
-    hi[which] += ENTRY_DERIV_STEP
-    lo[which] -= ENTRY_DERIV_STEP
-    m_hi = np.asarray(kind.matrix_fn(*hi), dtype=complex)
-    m_lo = np.asarray(kind.matrix_fn(*lo), dtype=complex)
+        return _user_matrix(kind.derivative_fn(which_param, *values), gate, "derivative")
+    hi, lo = list(values), list(values)
+    hi[which_param] += ENTRY_DERIV_STEP
+    lo[which_param] -= ENTRY_DERIV_STEP
+    m_hi = _user_matrix(kind.matrix_fn(*hi), gate, "matrix")
+    m_lo = _user_matrix(kind.matrix_fn(*lo), gate, "matrix")
     return (m_hi - m_lo) / (2 * ENTRY_DERIV_STEP)
 
 
@@ -384,42 +403,23 @@ def apply_gate_derivative(
     derivative: np.ndarray | None = None,
     *,
     plan=None,
-) -> complex:
-    """state <- (dU/d theta_local) state up to the returned deferred scalar.
+) -> None:
+    """state <- (dU/d theta_local) state, honouring controls.
 
-    The caller must multiply the eventual inner product by the returned
-    complex factor. Performs O(1) matrix/projection applications whatever
-    the gate kind. For a rotation, ``derivative``, when given, must be its
-    U @ P, which is applied as is instead of binding again, and ``plan``,
-    when given, the gate's own placement plan, which ``apply_matrix`` then
-    uses unchecked. Other kinds ignore both. U @ P is applied with the
+    ``derivative``, when given, must be ``gate_derivative(gate, params,
+    which_param)``, which is then applied as is instead of being formed
+    again, and ``plan``, when given, the gate's own placement plan, which
+    ``apply_matrix`` then uses unchecked. The matrix is applied with the
     gate's controls, and the closing projection zeroes the amplitudes it
-    left alone.
+    left alone: the derivative of a controlled gate vanishes there.
     """
-    kind = gate.kind
-    if kind.arity == 0:
-        raise ValueError(f"{type(kind).__name__} gate has no parameter to differentiate")
-    if not 0 <= which_param < kind.arity:
-        raise ValueError(f"local parameter {which_param} out of range for arity {kind.arity}")
-    if isinstance(kind, PauliRotation):
-        if derivative is None:
-            derivative = gate_matrix(gate, params) @ g.pauli_product(kind.axes)
-        # dU/dtheta = alpha i U P, with P the gate's Pauli product
-        apply_matrix(state, derivative, gate.targets, gate.controls, plan=plan)
-        scalar = kind.alpha * 1j
-    elif isinstance(kind, Phase):
-        project_to_one(state, gate.targets)
-        theta = float(params[gate.param_refs[0]])
-        scalar = 1j * np.exp(1j * theta)
-    else:
-        values = _bound_values(gate, params)
-        apply_matrix(state, _matrix_derivative(gate, values, which_param), gate.targets)
-        scalar = 1.0
+    if derivative is None:
+        derivative = gate_derivative(gate, params, which_param)
+    apply_matrix(state, derivative, gate.targets, gate.controls, plan=plan)
     if gate.controls:
         project_to_one(state, gate.controls)
     if counters is not None:
         counters.derivative_applies += 1
-    return complex(scalar)
 
 
 # -- text format ---------------------------------------------------------------

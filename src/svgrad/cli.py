@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .bench import run_benchmark, write_csv
-from .circuit import CircuitParseError, NonInvertibleGateError, parse_circuit
+from .circuit import NonInvertibleGateError, parse_circuit
 from .gradients import (
     GradientReport,
     non_hermitian_gradient,
@@ -19,7 +19,6 @@ from .gradients import (
 from .observable import (
     BUILTIN_OBSERVABLES,
     Observable,
-    ObservableParseError,
     builtin_observable,
     parse_observable,
 )
@@ -69,7 +68,7 @@ def _cmd_grad(args: argparse.Namespace) -> int:
         obs = _load_observable(args.observable, circuit.num_qubits)
         params = _load_params(args.params)
         input_state = init_basis_state(circuit.num_qubits)
-    except (CircuitParseError, ObservableParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -7,9 +7,8 @@ Four routes to the same per-parameter derivatives of <psi(theta)|O|psi(theta)>:
   in live state-vectors. Two working states are maintained by a recurrence:
   the bra side carries the operator-applied state rewound gate by gate with
   adjoints, the ket side carries the circuit state with the trailing gates
-  undone, and each parameter occurrence contributes
-  2 Re(deferred_scalar * <bra|probe>) where the probe is a clone of the ket
-  hit with the gate derivative.
+  undone, and each parameter occurrence contributes 2 Re <bra|probe>, where
+  the probe is a clone of the ket hit with the gate's derivative matrix.
 * ``reference_gradient``: the faithful quadratic schedule: every parameter
   occurrence rebuilds its derivative-inserted state from the input.
 * ``non_hermitian_gradient``: two reverse sweeps (operator and its
@@ -40,6 +39,7 @@ from . import gates as g
 from .circuit import (
     Circuit,
     apply_gate_derivative,
+    gate_derivative,
     gate_matrix,
     rewind_matrix,
 )
@@ -122,7 +122,7 @@ class _Binding(NamedTuple):
     """The parameter-dependent matrices of a circuit bound to one table, gate by gate."""
 
     matrices: list
-    derivatives: list | None  # a rotation's U @ P, None for other kinds; when asked for
+    derivatives: list | None  # dU/dtheta, one matrix per local parameter; when asked for
     adjoints: list | None  # the conjugate transposes, when asked for
 
 
@@ -133,26 +133,29 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
     rotation groups, the FixedUnitary matrices and adjoints, and the
     placement plans. The rotations of one Pauli string are bound by one
     vectorised closed form. With ``gradient``, for the reverse and reference
-    schedules, their derivatives U @ P come from one batched product and
-    their adjoints from one conjugate transpose; without it, as for finite
-    differences, only the matrices are formed. Only Phase, CustomParametric
-    and NonUnitary gates go through ``gate_matrix`` one by one.
+    schedules, their derivatives alpha*i*(U @ P) come from one batched
+    product and their adjoints from one conjugate transpose; without it, as
+    for finite differences, only the matrices are formed. Only Phase,
+    CustomParametric and NonUnitary gates go through ``gate_matrix`` and
+    ``gate_derivative`` one by one.
     """
     layout = circuit._layout
     matrices = list(layout.fixed)
-    derivatives = [None] * len(matrices) if gradient else None
+    derivatives = [()] * len(matrices) if gradient else None
     adjoints = list(layout.fixed_adjoints) if gradient else None
     for group in layout.rotations:
         stack = g.rotation_matrix(group.axes, params[group.param_refs], group.alphas)
         for i, m in zip(group.gates, stack):
             matrices[i] = m
         if gradient:
-            products = stack @ g.pauli_product(group.axes)
+            products = (1j * group.alphas)[:, None, None] * (stack @ g.pauli_product(group.axes))
             for i, d, a in zip(group.gates, products, stack.conj().transpose(0, 2, 1)):
-                derivatives[i], adjoints[i] = d, a
+                derivatives[i], adjoints[i] = (d,), a
     for i in layout.per_gate:
-        matrices[i] = gate_matrix(circuit.gates[i], params)
+        gate = circuit.gates[i]
+        matrices[i] = gate_matrix(gate, params)
         if gradient:
+            derivatives[i] = tuple(gate_derivative(gate, params, j) for j in range(gate.kind.arity))
             adjoints[i] = matrices[i].conj().T
     return _Binding(matrices, derivatives, adjoints)
 
@@ -171,7 +174,7 @@ def _reverse_sweep(
     counters: OpCounters,
     audit: LiveStateAudit,
 ) -> tuple[np.ndarray, complex]:
-    """Backward-sweep accumulation of deferred_scalar * <bra|probe> per parameter.
+    """Backward-sweep accumulation of <bra|probe> per parameter.
 
     Returns the complex per-parameter sums and the expectation at theta.
     Callers turn the sums into gradients (2 Re for a Hermitian operator).
@@ -179,11 +182,9 @@ def _reverse_sweep(
     gates, plans = circuit.gates, circuit._layout.plans
     matrices, derivatives, adjoints = _bind(circuit, params, gradient=True)
     # the ket rewinds with the adjoints, but with the true inverse of a NonUnitary gate
-    rewinds = adjoints
-    if circuit._layout.inverted:
-        rewinds = list(adjoints)
-        for i in circuit._layout.inverted:
-            rewinds[i] = rewind_matrix(gates[i], matrices[i], i)
+    rewinds = list(adjoints)
+    for i in circuit._layout.per_gate:
+        rewinds[i] = rewind_matrix(gates[i], matrices[i], i)
     sums = np.zeros(circuit.num_params, dtype=complex)
 
     audit.acquire()  # the borrowed input
@@ -198,16 +199,13 @@ def _reverse_sweep(
     energy = complex(np.vdot(ket.amplitudes, bra.amplitudes))
 
     for i in range(len(gates) - 1, -1, -1):
-        gate = gates[i]
-        plan = plans[i]
+        gate, plan = gates[i], plans[i]
         apply_matrix(ket, rewinds[i], gate.targets, gate.controls, counters, plan=plan)
-        for j in range(gate.kind.arity):
+        for j, derivative in enumerate(derivatives[i]):
             probe = clone_state(ket, counters)
             audit.acquire()
-            scalar = apply_gate_derivative(
-                probe, gate, params, j, counters, derivative=derivatives[i], plan=plan
-            )
-            sums[gate.param_refs[j]] += scalar * inner_product(bra, probe, counters)
+            apply_gate_derivative(probe, gate, params, j, counters, derivative, plan=plan)
+            sums[gate.param_refs[j]] += inner_product(bra, probe, counters)
             audit.release()
         if i > 0:
             apply_matrix(bra, adjoints[i], gate.targets, gate.controls, counters, plan=plan)
@@ -259,15 +257,12 @@ def reference_gradient(
     energy = complex(np.vdot(psi.amplitudes, bra.amplitudes))  # uncounted, as in the sweep
 
     for i, gate in enumerate(gates):
-        for j in range(gate.kind.arity):
+        for j, derivative in enumerate(derivatives[i]):
             probe = clone_state(input_state, counters)
             _forward(probe, gates[:i], matrices[:i], plans[:i], counters)
-            scalar = apply_gate_derivative(
-                probe, gate, params, j, counters, derivative=derivatives[i], plan=plans[i]
-            )
+            apply_gate_derivative(probe, gate, params, j, counters, derivative, plan=plans[i])
             _forward(probe, gates[i + 1 :], matrices[i + 1 :], plans[i + 1 :], counters)
-            amp = scalar * inner_product(bra, probe, counters)
-            values[gate.param_refs[j]] += 2.0 * amp.real
+            values[gate.param_refs[j]] += 2.0 * inner_product(bra, probe, counters).real
     return GradientReport(values, energy, counters)
 
 

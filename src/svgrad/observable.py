@@ -73,6 +73,18 @@ class _FlipGroup(NamedTuple):
     diagonal: np.ndarray  # read-only, of ``shape``
 
 
+def _check_term(num_qubits: int, coeff: complex, factors: str) -> None:
+    """Raise ValueError unless the term covers ``num_qubits`` qubits with known
+    letters and has a finite coefficient."""
+    if len(factors) != num_qubits:
+        raise ValueError(f"factor string {factors!r} does not cover {num_qubits} qubits")
+    for ch in factors:
+        if ch not in FACTORS:
+            raise ValueError(f"unknown factor letter {ch!r} in {factors!r}")
+    if not np.isfinite(coeff):
+        raise ValueError(f"non-finite coefficient {coeff} for term {factors!r}")
+
+
 class ObservableParseError(ValueError):
     def __init__(self, line: int, message: str):
         self.line = line
@@ -91,15 +103,7 @@ class Observable:
         if not self.terms:
             raise ValueError("an observable needs at least one term")
         for coeff, factors in self.terms:
-            if len(factors) != self.num_qubits:
-                raise ValueError(
-                    f"factor string {factors!r} does not cover {self.num_qubits} qubits"
-                )
-            for ch in factors:
-                if ch not in FACTORS:
-                    raise ValueError(f"unknown factor letter {ch!r} in {factors!r}")
-            if not np.isfinite(coeff):
-                raise ValueError(f"non-finite coefficient {coeff} for term {factors!r}")
+            _check_term(self.num_qubits, coeff, factors)
 
     @cached_property
     def is_hermitian(self) -> bool:
@@ -259,18 +263,11 @@ def parse_observable(text: str) -> Observable:
             coeff = complex(float(tokens[0]), float(tokens[1]))
         except ValueError as exc:
             raise ObservableParseError(lineno, f"bad coefficient: {exc}") from exc
-        factors = tokens[2]
-        if not np.isfinite(coeff):
-            raise ObservableParseError(
-                lineno, f"non-finite coefficient {coeff} for term {factors!r}"
-            )
-        if len(factors) != num_qubits:
-            raise ObservableParseError(
-                lineno, f"factor string {factors!r} does not cover {num_qubits} qubits"
-            )
-        if any(ch not in FACTORS for ch in factors):
-            raise ObservableParseError(lineno, f"unknown factor letter in {factors!r}")
-        terms.append((coeff, factors))
+        try:
+            _check_term(num_qubits, coeff, tokens[2])
+        except ValueError as exc:
+            raise ObservableParseError(lineno, str(exc)) from exc
+        terms.append((coeff, tokens[2]))
     if num_qubits is None:
         raise ObservableParseError(0, "missing `qubits` header line")
     if not terms:

@@ -143,8 +143,8 @@ def test_criterion_4_gate_derivative_suite(label, gate):
             for _ in range(20):
                 state = random_state(3, rng)
                 probe = clone_state(state)
-                scalar = apply_gate_derivative(probe, gate, [theta], 0)
-                net = scalar * probe.amplitudes
+                apply_gate_derivative(probe, gate, [theta], 0)
+                net = probe.amplitudes
                 plus = clone_state(state)
                 apply_gate(plus, gate, [theta + delta])
                 minus = clone_state(state)

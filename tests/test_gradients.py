@@ -17,9 +17,11 @@ from svgrad.circuit import (
     NonInvertibleGateError,
     NonUnitary,
     PauliRotation,
+    Phase,
     crx,
     cx,
     fixed,
+    gate_derivative,
     gate_matrix,
     phase_gate,
     rewind_matrix,
@@ -232,6 +234,45 @@ def test_singular_gate_reported_with_index():
     circuit = Circuit(1, (ry(0, 0), gate), 1)
     with pytest.raises(NonInvertibleGateError, match="gate 1"):
         reverse_mode_gradient(circuit, [0.1], Z1, init_basis_state(1))
+
+
+# -- matrices from user code ----------------------------------------------------------
+
+def _nan_matrix(*angles):
+    return np.array([[np.nan, 0], [0, 1]])
+
+
+def _inf_derivative(which, *angles):
+    return np.array([[0, 0], [0, np.inf]])
+
+
+@pytest.mark.parametrize(
+    "kind", [CustomParametric(_nan_matrix), NonUnitary(_nan_matrix)], ids=["custom", "non-unitary"]
+)
+@pytest.mark.parametrize(
+    "engine", [reverse_mode_gradient, reference_gradient, finite_difference_gradient]
+)
+def test_non_finite_matrix_function_is_rejected(engine, kind):
+    circuit = Circuit(1, (ry(0, 0), Gate(kind, (0,), (), (1,)[: kind.arity])), 2)
+    message = r"^matrix function returned non-finite entries at \(row, column\) \[\[0, 0\]\]$"
+    with pytest.raises(ValueError, match=message):
+        engine(circuit, [0.3, 0.5], Z1, init_basis_state(1))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        CustomParametric(lambda t: rotation_matrix("Y", t), derivative_fn=_inf_derivative),
+        NonUnitary(_scaled_ry, 1, derivative_fn=_inf_derivative),
+    ],
+    ids=["custom", "non-unitary"],
+)
+@pytest.mark.parametrize("engine", [reverse_mode_gradient, reference_gradient])
+def test_non_finite_derivative_function_is_rejected(engine, kind):
+    circuit = Circuit(1, (ry(0, 0), Gate(kind, (0,), (), (1,))), 2)
+    message = r"^derivative function returned non-finite entries at \(row, column\) \[\[1, 1\]\]$"
+    with pytest.raises(ValueError, match=message):
+        engine(circuit, [0.3, 0.5], Z1, init_basis_state(1))
 
 
 # -- non-Hermitian operators ----------------------------------------------------------
@@ -463,17 +504,20 @@ def test_plan_matches_the_per_gate_api(kernel):
         np.testing.assert_array_equal(bound.adjoints[i], bound.matrices[i].conj().T)
         rewind = rewind_matrix(gate, bound.matrices[i])
         np.testing.assert_allclose(rewind, rewind_matrix(gate, m), rtol=0, atol=1e-15)
-        assert (i in circuit._layout.inverted) == isinstance(gate.kind, NonUnitary)
+        bound_one_by_one = isinstance(gate.kind, (Phase, CustomParametric))
+        assert (i in circuit._layout.per_gate) == bound_one_by_one
         np.testing.assert_array_equal(matrices_only.matrices[i], bound.matrices[i])
         plan = circuit._layout.plans[i]
         assert plan is sv._placement(3, gate.targets, gate.controls)
         assert isinstance(plan, np.ndarray) == (kernel == "gather")
+        assert len(bound.derivatives[i]) == gate.kind.arity
+        for j, derivative in enumerate(bound.derivatives[i]):
+            expected = gate_derivative(gate, params, j)
+            np.testing.assert_allclose(derivative, expected, rtol=0, atol=1e-15)
         if isinstance(gate.kind, PauliRotation):
             axes_seen.add((gate.kind.axes, gate.kind.alpha, bool(gate.controls)))
-            expected = m @ pauli_product(gate.kind.axes)
-            np.testing.assert_allclose(bound.derivatives[i], expected, rtol=0, atol=1e-15)
-        else:
-            assert bound.derivatives[i] is None
+            expected = gate.kind.alpha * 1j * (m @ pauli_product(gate.kind.axes))
+            np.testing.assert_allclose(bound.derivatives[i][0], expected, rtol=0, atol=1e-15)
     assert {axes for axes, _, _ in axes_seen} == {"X", "Y", "Z", "XY", "ZZ"}
     assert {alpha for _, alpha, _ in axes_seen} == {-0.5, 0.25}
     assert {controlled for _, _, controlled in axes_seen} == {False, True}
@@ -485,19 +529,13 @@ def test_plan_derivative_matches_per_gate_derivative(kernel):
     bound = gradients_module._bind(circuit, params, gradient=True)
     state = random_state(3, np.random.default_rng(49))
     for i, gate in enumerate(circuit.gates):
-        for j in range(gate.kind.arity):
+        for j, derivative in enumerate(bound.derivatives[i]):
             planned = clone_state(state)
-            a = gradients_module.apply_gate_derivative(
-                planned,
-                gate,
-                params,
-                j,
-                derivative=bound.derivatives[i],
-                plan=circuit._layout.plans[i],
+            gradients_module.apply_gate_derivative(
+                planned, gate, params, j, derivative=derivative, plan=circuit._layout.plans[i]
             )
             per_gate = clone_state(state)
-            b = gradients_module.apply_gate_derivative(per_gate, gate, params, j)
-            assert a == b
+            gradients_module.apply_gate_derivative(per_gate, gate, params, j)
             np.testing.assert_allclose(planned.amplitudes, per_gate.amplitudes, rtol=0, atol=1e-15)
 
 
@@ -514,14 +552,8 @@ def test_fixed_gate_from_a_nested_list_runs_every_engine():
 
 def test_second_call_validates_no_placement(monkeypatch):
     """Once a call has built the circuit's layout, the engines take every
-    placement from it. Entry-wise derivatives are left out: their matrices
-    come from user code and are checked on every call."""
-    gates = tuple(
-        gate
-        for gate in _mixed_circuit().gates
-        if not (isinstance(gate.kind, CustomParametric) and gate.kind.arity)
-    )
-    gates += (Gate(NonUnitary(lambda: np.diag([1.0, 0.5])), (1,), (2,)),)
+    placement from it, for the derivatives of every gate kind too."""
+    gates = _mixed_circuit().gates + (Gate(NonUnitary(lambda: np.diag([1.0, 0.5])), (1,), (2,)),)
     circuit = Circuit(3, gates, 14)
     params = np.random.default_rng(53).uniform(-np.pi, np.pi, circuit.num_params)
     obs = Observable(3, ((0.5, "ZXI"), (-1.25, "YIZ")))
