@@ -14,7 +14,10 @@ Four routes to the same per-parameter derivatives of <psi(theta)|O|psi(theta)>:
 * ``non_hermitian_gradient``: two reverse sweeps (operator and its
   adjoint), combined to the complex derivative of a complex expectation.
 * ``finite_difference_gradient``: central differences of the expectation;
-  the independent oracle the others are tested against.
+  the independent oracle the others are tested against. Each shifted
+  evaluation starts from a shared prefix state: the gates before the first
+  use of the shifted parameter run once per parameter, not once per
+  evaluation.
 
 Repeated parameter indices are handled by accumulating occurrence
 contributions into the shared table entry; ``uniquify_parameters`` exposes
@@ -25,6 +28,9 @@ Every engine reports exact primitive-operation counts. For a circuit of P
 single-parameter gates the reverse schedule performs 3P-1 gate applications,
 P derivative applications, P+2 clones, P inner products and one operator
 application; the reference schedule performs P + P(P-1) gate applications.
+Central differences over G gates perform G + 2 sum_k (G - f_k) gate
+applications, f_k being the first gate that uses parameter k (G if none
+does), and 2P+1 clones, operator applications and inner products.
 The report's energy uses one extra inner product that is deliberately not
 counted, so those integers stay exact transcriptions of the schedules.
 """
@@ -153,9 +159,15 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
                 derivatives[i], adjoints[i] = (d,), a
     for i in layout.per_gate:
         gate = circuit.gates[i]
-        matrices[i] = gate_matrix(gate, params)
+        try:
+            matrices[i] = gate_matrix(gate, params)
+            if gradient:
+                derivatives[i] = tuple(
+                    gate_derivative(gate, params, j) for j in range(gate.kind.arity)
+                )
+        except ValueError as err:
+            raise ValueError(f"gate {i} ({type(gate.kind).__name__}): {err}") from err
         if gradient:
-            derivatives[i] = tuple(gate_derivative(gate, params, j) for j in range(gate.kind.arity))
             adjoints[i] = matrices[i].conj().T
     return _Binding(matrices, derivatives, adjoints)
 
@@ -297,29 +309,47 @@ def finite_difference_gradient(
 ) -> GradientReport:
     """Central-difference gradient: the independent correctness oracle.
 
-    Quadratic cost: every parameter takes two full expectation evaluations
-    at theta_k +/- delta.
+    Every parameter p_k takes two expectation evaluations, at theta_k +/-
+    delta, from a binding of the shifted table. Gates before the first gate
+    f_k that uses p_k get the same matrices either way, so one prefix state
+    walks the parameters in order of f_k (f_k = G, the gate count, when no
+    gate uses p_k), moved forward through the unshifted matrices; each
+    evaluation clones it and runs only gates f_k..G-1. The values are bit
+    for bit those of two full evaluations per parameter. At the end the
+    prefix is the forward state, whose expectation is the report's energy.
+    That is G + 2 sum_k (G - f_k) gate applications, 2P+1 clones, operator
+    applications and inner products, and three live states: the input, the
+    prefix and the working state.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     params = _check_call(circuit, params, obs, input_state)
     counters = OpCounters()
-
-    def evaluate(theta: np.ndarray) -> complex:
-        state = clone_state(input_state, counters)
-        matrices = _bind(circuit, theta).matrices
-        _forward(state, circuit.gates, matrices, circuit._layout.plans, counters)
-        return expectation(state, obs, counters)
+    gates, plans = circuit.gates, circuit._layout.plans
+    matrices = _bind(circuit, params).matrices
+    first = [len(gates)] * circuit.num_params
+    for i in range(len(gates) - 1, -1, -1):
+        for k in gates[i].param_refs:
+            first[k] = i
 
     values = np.zeros(circuit.num_params, dtype=complex)
-    for k in range(circuit.num_params):
+    prefix = clone_state(input_state, counters)
+    done = 0  # gates the prefix has been moved through
+    for k in sorted(range(circuit.num_params), key=first.__getitem__):
+        f = first[k]
+        _forward(prefix, gates[done:f], matrices[done:f], plans[done:f], counters)
+        done = f
         shifted = params.copy()
-        shifted[k] = params[k] + delta
-        plus = evaluate(shifted)
-        shifted[k] = params[k] - delta
-        minus = evaluate(shifted)
-        values[k] = (plus - minus) / (2.0 * delta)
-    return GradientReport(values, evaluate(params), counters)
+        plus_minus = []
+        for step in (delta, -delta):
+            shifted[k] = params[k] + step
+            tail = _bind(circuit, shifted).matrices[f:]
+            state = clone_state(prefix, counters)
+            _forward(state, gates[f:], tail, plans[f:], counters)
+            plus_minus.append(expectation(state, obs, counters))
+        values[k] = (plus_minus[0] - plus_minus[1]) / (2.0 * delta)
+    _forward(prefix, gates[done:], matrices[done:], plans[done:], counters)
+    return GradientReport(values, expectation(prefix, obs, counters), counters)
 
 
 def uniquify_parameters(circuit: Circuit) -> tuple[Circuit, np.ndarray]:

@@ -13,17 +13,23 @@ qubit) times a diagonal, (term psi)[k] = D[k] psi[k xor x], where
 D[k] = c prod_q M_q[b_q, b_q xor x_q] over the bits b_q of k. Terms that
 share a flip mask sum into one diagonal D_x, and
 O psi = sum_x D_x * psi[k xor x]: one multiply and one add per mask group,
-with psi[k xor x] a reversed view of the amplitudes, never a copy. This is
-the X/Z bitmask form of Pauli strings that Qiskit's ``SparsePauliOp`` and
-qulacs use. Each observable builds its plan (the groups, their view shapes
-and their diagonals) on its first apply and keeps it, read-only. Terms with
-``H`` take one ``apply_matrix`` call per non-identity letter instead, and so
-does every term of an observable whose diagonals would exceed
-``_DIAGONAL_BUDGET_BYTES``.
+with psi[k xor x] a reversed view of the amplitudes (one basic index),
+never a copy. This is the X/Z bitmask form of Pauli strings that Qiskit's
+``SparsePauliOp`` and qulacs use. Each observable builds its plan (the
+groups, their view shapes, their reversing indices and their diagonals) on
+its first apply and keeps it, read-only. When every term is in a group,
+``expectation`` is sum_x vdot(psi, D_x * psi[k xor x]), each product formed
+in one scratch buffer, and no output state is allocated. Terms with ``H``
+take one ``apply_matrix`` call per non-identity letter instead, and so does
+every term of an observable whose diagonals would exceed
+``_DIAGONAL_BUDGET_BYTES``; the expectation is then the inner product with
+the applied state. A finite sum of the coefficients' absolute values, which
+the constructor checks, bounds every diagonal entry.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -69,7 +75,7 @@ class _FlipGroup(NamedTuple):
     """H-free terms that share a flip mask, on a view with merged qubit runs."""
 
     shape: tuple[int, ...]
-    flip_axes: tuple[int, ...]
+    flip: tuple[slice, ...]  # basic index of the view that reverses its flipped axes
     diagonal: np.ndarray  # read-only, of ``shape``
 
 
@@ -104,6 +110,13 @@ class Observable:
             raise ValueError("an observable needs at least one term")
         for coeff, factors in self.terms:
             _check_term(self.num_qubits, coeff, factors)
+        # every letter's diagonal entries have modulus at most 1, so a finite
+        # scale bounds every entry of every mask-group diagonal
+        scale = sum(math.hypot(c.real, c.imag) for c, _ in self.terms)
+        if not math.isfinite(scale):
+            raise ValueError(
+                f"the coefficients' absolute values sum to {scale}, past the float range"
+            )
 
     @cached_property
     def is_hermitian(self) -> bool:
@@ -138,10 +151,10 @@ class Observable:
             # all flip (or all keep) is one axis, reversed when it flips
             runs = [(flip, len(list(run))) for flip, run in itertools.groupby(reversed(mask))]
             shape = tuple(1 << length for _, length in runs)
-            flip_axes = tuple(a for a, (flip, _) in enumerate(runs) if flip)
+            flip = tuple(slice(None, None, -1 if flips else 1) for flips, _ in runs)
             diagonal = _group_diagonal(n, terms).reshape(shape)
             diagonal.flags.writeable = False
-            groups.append(_FlipGroup(shape, flip_axes, diagonal))
+            groups.append(_FlipGroup(shape, flip, diagonal))
         return tuple(groups), tuple(with_h)
 
 
@@ -163,6 +176,13 @@ def _group_diagonal(num_qubits: int, terms) -> np.ndarray:
     return diagonal
 
 
+def _check_size(state: StateVector, obs: Observable) -> None:
+    if state.num_qubits != obs.num_qubits:
+        raise ValueError(
+            f"qubit count mismatch: state {state.num_qubits}, observable {obs.num_qubits}"
+        )
+
+
 def apply_observable(state: StateVector, obs: Observable, counters=None) -> StateVector:
     """Fresh, generally unnormalised state sum_t coeff_t (factors_t) |state>.
 
@@ -175,15 +195,12 @@ def apply_observable(state: StateVector, obs: Observable, counters=None) -> Stat
     O(N * 2^N) per term. Either way the apply allocates the result and one
     scratch state.
     """
-    if state.num_qubits != obs.num_qubits:
-        raise ValueError(
-            f"qubit count mismatch: state {state.num_qubits}, observable {obs.num_qubits}"
-        )
+    _check_size(state, obs)
     groups, with_h = obs._apply_plan
     out = np.zeros_like(state.amplitudes)
     buffer = np.empty_like(state.amplitudes)
     for group in groups:
-        flipped = np.flip(state.amplitudes.reshape(group.shape), group.flip_axes)
+        flipped = state.amplitudes.reshape(group.shape)[group.flip]
         np.multiply(group.diagonal, flipped, out=buffer.reshape(group.shape))
         out += buffer
     scratch = StateVector(state.num_qubits, buffer)
@@ -214,8 +231,30 @@ def adjoint_observable(obs: Observable) -> Observable:
 
 
 def expectation(state: StateVector, obs: Observable, counters=None) -> complex:
-    """<state| obs |state>; complex in general, real up to rounding when Hermitian."""
-    return inner_product(state, apply_observable(state, obs, counters), counters)
+    """<state| obs |state>; complex in general, real up to rounding when Hermitian.
+
+    When every term went into a mask group, this is
+    sum_x vdot(state, D_x * state[k xor x]), one product into a scratch
+    buffer and one reduction per group, and no output state is formed.
+    Otherwise (terms with ``H``, or past ``_DIAGONAL_BUDGET_BYTES``) it is
+    the inner product of the state with ``apply_observable``. Either way it
+    counts one operator application and one inner product.
+    """
+    groups, with_h = obs._apply_plan
+    if with_h:
+        return inner_product(state, apply_observable(state, obs, counters), counters)
+    _check_size(state, obs)
+    amplitudes = state.amplitudes
+    buffer = np.empty_like(amplitudes)
+    total = 0j
+    for group in groups:
+        flipped = amplitudes.reshape(group.shape)[group.flip]
+        np.multiply(group.diagonal, flipped, out=buffer.reshape(group.shape))
+        total += np.vdot(amplitudes, buffer)
+    if counters is not None:
+        counters.observable_applies += 1
+        counters.inner_products += 1
+    return complex(total)
 
 
 def dense_matrix(obs: Observable) -> np.ndarray:

@@ -20,8 +20,9 @@ from svgrad.circuit import (
     PauliRotation,
     Phase,
 )
-from svgrad.observable import Observable
-from svgrad.statevector import StateVector
+from svgrad.gradients import _bind
+from svgrad.observable import Observable, expectation
+from svgrad.statevector import StateVector, apply_matrix, clone_state
 
 # Factor matrices re-declared here so the oracle shares nothing with the package.
 _SIGMA = {
@@ -135,3 +136,29 @@ def observable_matrix_oracle(obs: Observable) -> np.ndarray:
 def expectation_oracle(circuit: Circuit, params, obs: Observable, input_state: StateVector) -> complex:
     psi = circuit_operator_oracle(circuit, params) @ input_state.amplitudes
     return complex(np.vdot(psi, observable_matrix_oracle(obs) @ psi))
+
+
+def finite_difference_literal(
+    circuit: Circuit, params, obs: Observable, input_state: StateVector, delta: float
+) -> tuple[np.ndarray, complex]:
+    """Central differences by two full evaluations per parameter, and the energy.
+
+    Each evaluation clones the input, runs every gate with the matrices bound
+    to its table and takes the expectation: the schedule the shared-prefix
+    engine must reproduce bit for bit.
+    """
+
+    def evaluate(theta):
+        state = clone_state(input_state)
+        for gate, m in zip(circuit.gates, _bind(circuit, theta).matrices):
+            apply_matrix(state, m, gate.targets, gate.controls)
+        return expectation(state, obs)
+
+    params = np.asarray(params, dtype=float)
+    values = np.zeros(circuit.num_params, dtype=complex)
+    for k in range(circuit.num_params):
+        plus, minus = params.copy(), params.copy()
+        plus[k] += delta
+        minus[k] -= delta
+        values[k] = (evaluate(plus) - evaluate(minus)) / (2.0 * delta)
+    return values, evaluate(params)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,17 @@ def test_grad_non_finite_coefficient(tmp_path, capsys, term):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: line 3: non-finite coefficient (")
     assert "nan" in err[0] or "inf" in err[0]
+
+
+def test_grad_overflowing_coefficient_scale(tmp_path, capsys):
+    circ = write(tmp_path, "one.circ", "qubits 2\nparams 1\nrx q0 p0\n")
+    obs = write(tmp_path, "big.obs", "qubits 2\n1e308 0 ZZ\n1e308 0 ZZ\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["grad", circ, obs, "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the coefficients' absolute values sum to inf")
 
 
 @pytest.mark.parametrize("qubits", [31, 64])

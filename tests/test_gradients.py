@@ -1,13 +1,14 @@
 """Gradient engines: analytic cases, cross-method oracles, exact op accounting."""
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import svgrad.gradients as gradients_module
 import svgrad.statevector as sv
-from conftest import expectation_oracle, random_state
+from conftest import expectation_oracle, finite_difference_literal, random_state
 from svgrad.ansatz import FAMILIES, AnsatzSpec, build_ansatz
 from svgrad.circuit import (
     Circuit,
@@ -254,7 +255,10 @@ def _inf_derivative(which, *angles):
 )
 def test_non_finite_matrix_function_is_rejected(engine, kind):
     circuit = Circuit(1, (ry(0, 0), Gate(kind, (0,), (), (1,)[: kind.arity])), 2)
-    message = r"^matrix function returned non-finite entries at \(row, column\) \[\[0, 0\]\]$"
+    message = (
+        rf"^gate 1 \({type(kind).__name__}\): "
+        r"matrix function returned non-finite entries at \(row, column\) \[\[0, 0\]\]$"
+    )
     with pytest.raises(ValueError, match=message):
         engine(circuit, [0.3, 0.5], Z1, init_basis_state(1))
 
@@ -270,9 +274,24 @@ def test_non_finite_matrix_function_is_rejected(engine, kind):
 @pytest.mark.parametrize("engine", [reverse_mode_gradient, reference_gradient])
 def test_non_finite_derivative_function_is_rejected(engine, kind):
     circuit = Circuit(1, (ry(0, 0), Gate(kind, (0,), (), (1,))), 2)
-    message = r"^derivative function returned non-finite entries at \(row, column\) \[\[1, 1\]\]$"
+    message = (
+        rf"^gate 1 \({type(kind).__name__}\): "
+        r"derivative function returned non-finite entries at \(row, column\) \[\[1, 1\]\]$"
+    )
     with pytest.raises(ValueError, match=message):
         engine(circuit, [0.3, 0.5], Z1, init_basis_state(1))
+
+
+@pytest.mark.parametrize(
+    "engine", [reverse_mode_gradient, reference_gradient, finite_difference_gradient]
+)
+def test_user_function_error_names_the_gate(engine):
+    bad = Gate(CustomParametric(_nan_matrix, name="nan"), (1,), (0,), (1,))
+    circuit = Circuit(2, (ry(0, 0), cx(0, 1), bad, rx(1, 0)), 2)
+    message = r"^gate 2 \(CustomParametric\): matrix function returned non-finite entries"
+    with pytest.raises(ValueError, match=message) as err:
+        engine(circuit, [0.3, 0.5], builtin_observable("z_all", 2), init_basis_state(2))
+    assert isinstance(err.value.__cause__, ValueError)
 
 
 # -- non-Hermitian operators ----------------------------------------------------------
@@ -369,6 +388,69 @@ def test_fd_rejects_bad_delta():
     circuit = Circuit(1, (ry(0, 0),), 1)
     with pytest.raises(ValueError):
         finite_difference_gradient(circuit, [0.1], Z1, init_basis_state(1), delta=0.0)
+
+
+def _first_uses(circuit: Circuit) -> list[int]:
+    """The index of the first gate that uses each parameter, the gate count if none does."""
+    return [
+        min((i for i, gate in enumerate(circuit.gates) if k in gate.param_refs),
+            default=len(circuit.gates))
+        for k in range(circuit.num_params)
+    ]
+
+
+def _assert_fd_is_literal(circuit, params, obs, state, delta=1e-5):
+    """Values and energy bit for bit as two full evaluations per parameter,
+    with the shared-prefix counts."""
+    report = finite_difference_gradient(circuit, params, obs, state, delta)
+    values, energy = finite_difference_literal(circuit, params, obs, state, delta)
+    np.testing.assert_array_equal(report.values, values)
+    assert report.energy == energy
+    num_gates, num_params = len(circuit.gates), circuit.num_params
+    c = report.counters
+    assert c.gate_applies == num_gates + 2 * sum(num_gates - f for f in _first_uses(circuit))
+    assert c.clones == c.observable_applies == c.inner_products == 2 * num_params + 1
+    assert c.derivative_applies == 0
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fd_shared_prefix_matches_full_evaluations_on_families(family):
+    circuit = build_ansatz(AnsatzSpec(family, 4, reps=2))
+    rng = np.random.default_rng(60)
+    theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
+    obs = Observable(4, ((0.5, "ZXIY"), (-1.25, "XXZI"), (0.75, "IIZZ")))
+    _assert_fd_is_literal(circuit, theta, obs, random_state(4, rng))
+
+
+def test_fd_shared_prefix_matches_full_evaluations_on_every_kind():
+    """Repeated indices, a table order unlike the gate order, Phase,
+    CustomParametric, NonUnitary and controlled gates, and a parameter no
+    gate uses, through both observable paths."""
+    mixed = _mixed_circuit()
+    order = np.random.default_rng(61).permutation(mixed.num_params + 1)
+    gates = tuple(
+        replace(gate, param_refs=tuple(int(order[k]) for k in gate.param_refs))
+        for gate in mixed.gates
+    )
+    circuit = Circuit(3, gates, mixed.num_params + 1)
+    assert sorted(_first_uses(circuit)) != _first_uses(circuit)
+    assert len(gates) in _first_uses(circuit)
+    rng = np.random.default_rng(62)
+    params = rng.uniform(-np.pi, np.pi, circuit.num_params)
+    state = random_state(3, rng)
+    for obs in (
+        Observable(3, ((0.5, "ZXI"), (-1.25j, "Y+I"), (0.75, "IZ-"))),
+        Observable(3, ((0.5, "ZXI"), (-1.25, "YIZ"), (1.0, "HHH"))),
+    ):
+        _assert_fd_is_literal(circuit, params, obs, state)
+
+
+def test_fd_shared_prefix_matches_full_evaluations_on_both_kernels(kernel):
+    circuit = build_ansatz(AnsatzSpec("D", 3, reps=2))
+    rng = np.random.default_rng(63)
+    theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
+    obs = builtin_observable("hadamard_all", 3)
+    _assert_fd_is_literal(circuit, theta, obs, random_state(3, rng))
 
 
 # -- exact operation accounting ----------------------------------------------------------

@@ -188,6 +188,23 @@ def test_apply_allocates_no_state_per_term():
     assert peak < 2.5 * state_bytes
 
 
+def test_grouped_expectation_allocates_no_output_state():
+    num_qubits = 16
+    state = random_state(num_qubits, np.random.default_rng(36))
+    # one flip mask: its 1 MiB diagonal fits the budget
+    obs = Observable(num_qubits, ((0.5 - 0.25j, "X" + "Z" * 15), (1.5j, "Y" + "I" * 15)))
+    expectation(state, obs)  # builds the plan, which keeps the group diagonal
+    assert len(obs._apply_plan[0]) == 1 and obs._apply_plan[1] == ()
+    tracemalloc.start()
+    try:
+        expectation(state, obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the scratch buffer only; an output state would add a second
+    assert peak < 1.5 * state.amplitudes.nbytes
+
+
 def _h_free_observable(num_qubits, rng, num_terms=10, with_h=0):
     """Random H-free terms over a few flip masks, so masks repeat; then H terms."""
     masks = rng.integers(0, 2, size=(3, num_qubits))
@@ -260,6 +277,44 @@ def test_diagonal_budget_boundary(monkeypatch):
     )
 
 
+def _assert_expectation_matches_apply(state, obs):
+    counters = OpCounters()
+    got = expectation(state, obs, counters)
+    want = np.vdot(state.amplitudes, apply_observable(state, obs).amplitudes)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    assert counters == OpCounters(observable_applies=1, inner_products=1)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 3, 6, 13])
+def test_grouped_expectation_matches_apply(num_qubits):
+    rng = np.random.default_rng(70 + num_qubits)
+    for _ in range(5):
+        obs = _h_free_observable(num_qubits, rng)
+        assert obs._apply_plan[1] == ()
+        _assert_expectation_matches_apply(random_state(num_qubits, rng), obs)
+
+
+@pytest.mark.parametrize("num_qubits", [3, 13])
+def test_expectation_with_hadamard_terms_matches_apply(num_qubits):
+    rng = np.random.default_rng(80 + num_qubits)
+    obs = _h_free_observable(num_qubits, rng, num_terms=6, with_h=3)
+    _assert_expectation_matches_apply(random_state(num_qubits, rng), obs)
+
+
+def test_expectation_past_the_diagonal_budget_matches_apply(monkeypatch):
+    rng = np.random.default_rng(90)
+    monkeypatch.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", 16 * 2**6)
+    obs = _h_free_observable(6, rng)
+    assert obs._apply_plan[0] == ()
+    _assert_expectation_matches_apply(random_state(6, rng), obs)
+
+
+def test_expectation_size_mismatch():
+    obs = Observable(2, ((1.0, "ZX"),))
+    with pytest.raises(ValueError, match="qubit count mismatch: state 3, observable 2"):
+        expectation(init_basis_state(3), obs)
+
+
 def test_cached_diagonals_are_read_only():
     obs = Observable(3, ((1.0, "XZI"), (0.5j, "Y+I"), (2.0, "ZZZ")))
     groups, _ = obs._apply_plan
@@ -303,6 +358,13 @@ def test_validation():
 def test_non_finite_coefficient_rejected(coeff):
     with pytest.raises(ValueError, match="non-finite coefficient .* for term 'ZZ'"):
         Observable(2, ((1.0, "XX"), (coeff, "ZZ")))
+
+
+def test_overflowing_coefficient_scale_rejected():
+    with pytest.raises(ValueError, match="absolute values sum to inf"):
+        Observable(2, ((1e308, "ZZ"), (1e308, "ZZ")))
+    with pytest.raises(ValueError, match="absolute values sum to inf"):
+        Observable(1, ((complex(1.7e308, 1.7e308), "Z"),))
 
 
 def test_parse_round_trip():

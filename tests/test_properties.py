@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expectation_oracle, kernel_choice, random_state
+from conftest import expectation_oracle, finite_difference_literal, kernel_choice, random_state
 from svgrad.circuit import (
     Circuit,
     CustomParametric,
@@ -86,7 +86,10 @@ def test_engines_agree_on_random_circuits(problem):
     circuit, params, obs, state = problem
     rev = reverse_mode_gradient(circuit, params, obs, state)
     ref = reference_gradient(circuit, params, obs, state)
-    fd = finite_difference_gradient(circuit, params, obs, state)
+    fd = finite_difference_gradient(circuit, params, obs, state, delta=1e-5)
+    literal_values, literal_energy = finite_difference_literal(circuit, params, obs, state, 1e-5)
+    np.testing.assert_array_equal(fd.values, literal_values)
+    assert fd.energy == literal_energy
     np.testing.assert_allclose(rev.values, ref.values, rtol=0, atol=1e-10)
     np.testing.assert_allclose(rev.values, fd.values, rtol=0, atol=1e-6)
     assert abs(rev.energy - expectation_oracle(circuit, params, obs, state)) <= 1e-10
