@@ -9,6 +9,7 @@ Four routes to the same per-parameter derivatives of <psi(theta)|O|psi(theta)>:
   adjoints, the ket side carries the circuit state with the trailing gates
   undone, and each parameter occurrence contributes 2 Re <bra|probe>, where
   the probe is a clone of the ket hit with the gate's derivative matrix.
+  Every probe is cloned into one buffer, allocated once per sweep.
 * ``reference_gradient``: the faithful quadratic schedule: every parameter
   occurrence rebuilds its derivative-inserted state from the input.
 * ``non_hermitian_gradient``: two reverse sweeps (operator and its
@@ -210,18 +211,22 @@ def _reverse_sweep(
     # of the schedule whose costs the counters transcribe
     energy = complex(np.vdot(ket.amplitudes, bra.amplitudes))
 
+    # every term clones the ket into one probe buffer, allocated by the first clone
+    probe = None
     for i in range(len(gates) - 1, -1, -1):
         gate, plan = gates[i], plans[i]
         apply_matrix(ket, rewinds[i], gate.targets, gate.controls, counters, plan=plan)
         for j, derivative in enumerate(derivatives[i]):
-            probe = clone_state(ket, counters)
-            audit.acquire()
+            if probe is None:
+                audit.acquire()  # held until the sweep ends
+            probe = clone_state(ket, counters, out=probe)
             apply_gate_derivative(probe, gate, params, j, counters, derivative, plan=plan)
             sums[gate.param_refs[j]] += inner_product(bra, probe, counters)
-            audit.release()
         if i > 0:
             apply_matrix(bra, adjoints[i], gate.targets, gate.controls, counters, plan=plan)
 
+    if probe is not None:
+        audit.release()
     audit.release()
     audit.release()
     audit.release()

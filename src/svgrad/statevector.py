@@ -13,22 +13,31 @@ Gate kernel. ``apply_matrix`` works in place on reshaped views of the
 amplitudes, without index tables. The amplitudes are viewed as a tensor
 with one length-2 axis per qubit the gate touches; the runs of other
 qubits between them become single axes. Each control axis is fixed at 1 by
-basic indexing, so controls cost no copy. One of four paths then does the
-work, chosen from the target's position and the matrix:
+basic indexing, so controls cost no copy. One of six paths then does the
+work, chosen from the matrix and from the run of 2^t amplitudes below the
+target t:
 
 * a diagonal matrix (Rz, Phase, Z) scales the two halves of the view;
-* a target with at most 4 amplitudes below it: one BLAS product of each
-  (rows, 2^(t+1)) piece with the block ``(m kron I)^T``;
-* a target with at least 128 amplitudes below it: ``np.matmul(m, view)``
-  on the (..., 2, 2^t) view;
-* anything else (middle targets, a control below the target, two
-  targets): the target axes are moved to the front, gathered into a
-  (2^k, M) block, multiplied by ``m`` once and written back.
+* an anti-diagonal matrix (X, Y, CNOT) with a run of at least 8 swaps the
+  two halves, each scaled by its off-diagonal entry, whatever the controls;
+* any other matrix with a run of at most 8 and no control below the
+  target: each row of 2^(t+1) amplitudes, read as float64 pairs, times the
+  real form of the block ``m kron I`` (two rows per product at t=0);
+* a real matrix (H, Ry) with a run of at least 16 and no control below
+  the target: ``np.matmul(m.real, view)`` on the float64 view, which mixes
+  real and imaginary parts alike;
+* a complex matrix (Rx and its derivative) with a run of at least 128,
+  and at most one axis above the target: ``np.matmul(m, view)`` on the
+  (..., 2, 2^t) view;
+* anything else (middle targets of complex matrices, a control below the
+  target, two targets): the target axes are moved to the front, gathered
+  into a (2^k, M) block, multiplied by ``m`` once and written back.
 
 The paths work piece by piece, about 128 KB at a time. Each piece and its
 product then stay in cache, and no BLAS call is big enough to be split
 across threads. ``project_to_one`` zeroes the 0-slices through the same
-views.
+views. ``StateVector`` stores its amplitudes C-contiguous, so the float64
+views always exist.
 
 States of at most 2^12 amplitudes take a gather kernel instead. At that
 size Python and NumPy dispatch set the cost, and one fancy-indexed read and
@@ -43,11 +52,12 @@ the cache lookup and the kernel body. A caller that already holds the
 plan and a complex matrix of the right shape passes both to
 ``apply_matrix(plan=)``, and the call costs the kernel body alone; the
 gradient engines take every gate's plan from its circuit's cached layout.
-Neither kernel keeps a scratch buffer, so distinct states can be used from
-distinct threads.
+Neither kernel keeps a scratch buffer: every temporary belongs to one call,
+so distinct states can be used from distinct threads.
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -76,7 +86,8 @@ class StateVector:
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray):
         check_num_qubits(num_qubits)
-        amplitudes = np.asarray(amplitudes, dtype=complex)
+        # C-contiguous, so the kernels can view the amplitudes as float64 pairs
+        amplitudes = np.ascontiguousarray(amplitudes, dtype=complex)
         if amplitudes.shape != (1 << num_qubits,):
             raise ValueError(
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
@@ -104,10 +115,22 @@ def init_basis_state(num_qubits: int, basis_index: int = 0) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def clone_state(src: StateVector, counters=None) -> StateVector:
-    """Deep copy; mutating either state never touches the other."""
+def clone_state(src: StateVector, counters=None, out: StateVector | None = None) -> StateVector:
+    """Deep copy; mutating either state never touches the other.
+
+    With ``out``, a state of the same qubit count, the amplitudes are copied
+    into it and ``out`` is returned: a loop that clones into one buffer
+    allocates it once.
+    """
     if counters is not None:
         counters.clones += 1
+    if out is not None:
+        if out.num_qubits != src.num_qubits:
+            raise ValueError(
+                f"qubit count mismatch: cloning {src.num_qubits} qubits into {out.num_qubits}"
+            )
+        np.copyto(out.amplitudes, src.amplitudes)
+        return out
     # the source is a valid state, so its copy skips StateVector's checks
     out = StateVector.__new__(StateVector)
     out.num_qubits = src.num_qubits
@@ -131,11 +154,17 @@ def inner_product(bra: StateVector, ket: StateVector, counters=None) -> complex:
 _GATHER_MAX_AMPS = 1 << 12
 # Piece size of the view kernel: 128 KB of complex128, which stays in L2.
 _CHUNK_AMPS = 1 << 13
-# Runs of 2^t amplitudes below a general single target that pick the rows
-# path (up to _ROWS_MAX_RUN) and the matmul path (from _MATMUL_MIN_RUN);
-# measured at N=20, the block path is fastest between them.
-_ROWS_MAX_RUN = 4
+# Runs of 2^t amplitudes below a non-diagonal single target that pick each
+# path: the realified rows up to _REAL_ROWS_MAX_RUN, the swap of an
+# anti-diagonal matrix's halves from _SWAP_MIN_RUN, the real matmul from
+# _REAL_MATMUL_MIN_RUN and the complex matmul from _MATMUL_MIN_RUN; measured
+# at N=20, the block path is fastest where none of them applies.
+_REAL_ROWS_MAX_RUN = 8
+_SWAP_MIN_RUN = 8
+_REAL_MATMUL_MIN_RUN = 16
 _MATMUL_MIN_RUN = 128
+# the imaginary unit as a real 2x2 matrix on (real, imaginary) pairs
+_IMAG_UNIT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _layout(num_qubits: int, qubits) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -164,6 +193,34 @@ def _pieces(view: np.ndarray, axis: int) -> list[np.ndarray]:
     step = max(1, _CHUNK_AMPS * size // view.size)
     lead = (slice(None),) * axis
     return [view[lead + (slice(i, i + step),)] for i in range(0, size, step)]
+
+
+def _chunks(view: np.ndarray, keep: int) -> list[np.ndarray]:
+    """``view`` in pieces of about ``_CHUNK_AMPS`` elements, each whole along axis ``keep``.
+
+    The pieces are cut along the innermost axis that must be cut, with the
+    axes outside it taken one index at a time, so each piece keeps the
+    longest runs its strides allow.
+    """
+    inner = view.shape[keep]
+    for axis in range(view.ndim - 1, -1, -1):
+        if axis != keep:
+            if inner * view.shape[axis] > _CHUNK_AMPS:
+                break
+            inner *= view.shape[axis]
+    else:
+        return [view]
+    step = max(1, _CHUNK_AMPS // inner)
+    # length-1 slices for the outer axes, so every piece keeps the view's axes
+    outer = [
+        [slice(None)] if a == keep else [slice(i, i + 1) for i in range(n)]
+        for a, n in enumerate(view.shape[:axis])
+    ]
+    return [
+        view[index + (slice(i, i + step),)]
+        for index in itertools.product(*outer)
+        for i in range(0, view.shape[axis], step)
+    ]
 
 
 @lru_cache(maxsize=256)  # gather tables are at most 32 KB each
@@ -223,10 +280,11 @@ def apply_matrix(
     multiplied by ``m``; every other amplitude is untouched. ``m`` need not
     be unitary. Cost is O(2^N) independent of the matrix content.
 
-    ``plan``, when given, must be ``_placement(state.num_qubits, targets,
-    controls)``, with ``targets`` and ``controls`` tuples and ``m`` a
-    complex 2^k x 2^k array: the call then checks nothing and runs the
-    kernel body alone.
+    Without ``plan``, the placement, the matrix shape and the finiteness
+    of its entries are checked. ``plan``, when given, must be
+    ``_placement(state.num_qubits, targets, controls)``, with ``targets``
+    and ``controls`` tuples and ``m`` a finite complex 2^k x 2^k array: the
+    call then checks nothing and runs the kernel body alone.
     """
     if plan is None:
         targets, controls = tuple(targets), tuple(controls)
@@ -235,6 +293,9 @@ def apply_matrix(
         dim = 1 << len(targets)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not act on {len(targets)} targets")
+        if not np.isfinite(m).all():
+            bad = np.argwhere(~np.isfinite(m)).tolist()
+            raise ValueError(f"matrix has non-finite entries at (row, column) {bad}")
     amps = state.amplitudes
     if isinstance(plan, np.ndarray):  # the gather kernel's index table
         amps[plan] = m.dot(amps[plan])
@@ -252,9 +313,10 @@ def apply_matrix(
 def _apply_single(view: np.ndarray, m: np.ndarray, t: int, p: int, controls: tuple) -> None:
     """One target on axis ``p`` of ``view``; the path follows from the placement and ``m``."""
     run = 1 << t
-    # no control below the target and at most one axis above it: the view is
-    # (2, run) or (rows, 2, run), with the (2, run) tail contiguous
-    rows_view = p <= 1 and all(c > t for c in controls)
+    # no control below the target: the view ends in the contiguous (2, run) tail
+    tail = all(c > t for c in controls)
+    # and at most one axis above the target: the view is (2, run) or (rows, 2, run)
+    rows_view = p <= 1 and tail
     if m[0, 1] == 0 and m[1, 0] == 0:  # diagonal
         if rows_view and 2 * run <= _CHUNK_AMPS:
             # one multiply per piece by the diagonal tiled to the piece's shape
@@ -267,16 +329,47 @@ def _apply_single(view: np.ndarray, m: np.ndarray, t: int, p: int, controls: tup
             lead = (slice(None),) * p
             view[lead + (0,)] *= m[0, 0]
             view[lead + (1,)] *= m[1, 1]
-    elif rows_view and run <= _ROWS_MAX_RUN:
-        block_t = (m.T[:, None, :, None] * np.eye(run)[None, :, None, :]).reshape(2 * run, 2 * run)
-        rows = view.reshape(view.shape[:p] + (2 * run,))
-        for part in _pieces(rows, 0):
-            part[...] = part @ block_t
+    elif m[0, 0] == 0 and m[1, 1] == 0 and run >= _SWAP_MIN_RUN:  # anti-diagonal
+        # each half becomes the other one, scaled; the Ellipsis keeps a half a
+        # view even when it is a single amplitude
+        lead = (slice(None),) * p
+        for part in _chunks(view, p):
+            low, high = part[lead + (0, ...)], part[lead + (1, ...)]
+            new_high = low * m[1, 0]
+            np.multiply(high, m[0, 1], out=low)
+            high[...] = new_high
+    elif tail and run <= _REAL_ROWS_MAX_RUN:
+        _apply_real_rows(view, m, run, p)
+    elif tail and run >= _REAL_MATMUL_MIN_RUN and not m.imag.any():
+        # a real matrix mixes the halves' real and imaginary parts alike
+        real = np.ascontiguousarray(m.real)
+        for part in _chunks(view, p):
+            floats = part.view(np.float64)
+            floats[...] = np.matmul(real, floats)
     elif rows_view and run >= _MATMUL_MIN_RUN:
         for part in _pieces(view, 1 if p == 0 else 0):
             part[...] = np.matmul(m, part)
     else:
         _apply_block(view, m, (p,))
+
+
+def _apply_real_rows(view: np.ndarray, m: np.ndarray, run: int, p: int) -> None:
+    """A short run below the target: each row of 2*run amplitudes, read as 4*run
+    floats, times the realified block of ``m kron I_run``."""
+    rows = view.reshape(view.shape[:p] + (2 * run,))
+    group = 1
+    if run == 1 and rows.ndim > 1 and rows.shape[-2] % 2 == 0 and rows.strides[-2] == 2 * rows.itemsize:
+        # two neighbouring rows per product, so the block is 8 floats wide
+        rows = rows.reshape(rows.shape[:-2] + (rows.shape[-2] // 2, 4))
+        group = 2
+    # rows multiply from the left, so by the transpose; a + bi acts on a (real,
+    # imaginary) pair as [[a, -b], [b, a]], whose transpose is a I - b J. A
+    # C-contiguous block keeps the product on BLAS's fast path.
+    block_t = np.kron(np.eye(group), np.kron(m.T, np.eye(run)))
+    block_t = np.kron(block_t.real, np.eye(2)) - np.kron(block_t.imag, _IMAG_UNIT)
+    for part in _chunks(rows, rows.ndim - 1):
+        floats = part.view(np.float64)
+        floats[...] = floats @ block_t
 
 
 def _apply_block(view: np.ndarray, m: np.ndarray, pos: tuple[int, ...]) -> None:

@@ -504,6 +504,40 @@ def test_live_state_peak_is_constant(num_gates):
     assert audit.live == 0
 
 
+def test_sweep_clones_every_probe_into_one_buffer(monkeypatch):
+    """P+2 clones, counted through the traced module name; the P probe clones
+    all land in one state, allocated by the first of them."""
+    circuit = build_ansatz(AnsatzSpec("D", 3, reps=2))
+    theta = np.random.default_rng(47).uniform(0, 2 * np.pi, circuit.num_params)
+    calls = []
+
+    def recording_clone(src, counters=None, out=None):
+        result = clone_state(src, counters, out=out)
+        calls.append((out, result))
+        return result
+
+    monkeypatch.setattr(gradients_module, "clone_state", recording_clone)
+    audit = LiveStateAudit()
+    report = reverse_mode_gradient(
+        circuit, theta, builtin_observable("hadamard_all", 3), init_basis_state(3), audit=audit
+    )
+    probes = calls[2:]
+    assert len(calls) == report.counters.clones == circuit.num_params + 2
+    assert probes[0][0] is None
+    assert all(out is probes[0][1] and result is out for out, result in probes[1:])
+    assert (audit.peak, audit.live) == (4, 0)
+
+
+def test_sweep_without_parameters_holds_no_probe():
+    circuit = Circuit(2, (Gate(FixedUnitary(np.eye(2)), (0,)),), 0)
+    audit = LiveStateAudit()
+    report = reverse_mode_gradient(
+        circuit, np.zeros(0), builtin_observable("z_all", 2), init_basis_state(2), audit=audit
+    )
+    assert report.counters.clones == 2
+    assert (audit.peak, audit.live) == (3, 0)
+
+
 # -- report consistency -----------------------------------------------------------------------
 
 def test_energy_matches_expectation_for_all_engines():

@@ -54,6 +54,18 @@ def test_clone_preserves_unnormalised_amplitudes_exactly():
     assert inner_product(src, copy) == inner_product(src, src)
 
 
+def test_clone_into_a_buffer():
+    counters = OpCounters()
+    src = StateVector(2, np.array([0.3 + 1j, 2.0, -5.5j, 0.0]))
+    buffer = init_basis_state(2)
+    assert clone_state(src, counters, out=buffer) is buffer
+    assert np.array_equal(buffer.amplitudes, src.amplitudes)
+    assert not np.shares_memory(buffer.amplitudes, src.amplitudes)
+    assert counters.clones == 1
+    with pytest.raises(ValueError, match="cloning 2 qubits into 3"):
+        clone_state(src, out=init_basis_state(3))
+
+
 def test_clone_counter():
     counters = OpCounters()
     clone_state(init_basis_state(1), counters)
@@ -261,10 +273,12 @@ def _matrix(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
         return np.fliplr(np.diag(np.diagonal(entries)))
     if kind == "unitary":
         return unitary_group.rvs(dim, random_state=rng)
+    if kind == "real":
+        return entries.real.astype(complex)
     return entries  # general, not unitary
 
 
-MATRIX_KINDS = ("diagonal", "anti-diagonal", "unitary", "non-unitary")
+MATRIX_KINDS = ("diagonal", "anti-diagonal", "unitary", "non-unitary", "real")
 
 
 def _placements(num_qubits: int, num_targets: int):
@@ -386,6 +400,32 @@ LARGE_CASES = [
     (13, "non-unitary", (12, 0), (6,)),
     (13, "diagonal", (3, 4), (1, 10)),
     (14, "anti-diagonal", (9, 2), (5,)),
+    # real rows (t <= 3): two rows per product at t=0, one row with a control
+    # right above, a view with axes on both sides of a control, the lone row
+    # left when every other qubit is a control
+    (13, "real", (0,), ()),
+    (14, "non-unitary", (0,), (13,)),
+    (13, "unitary", (0,), (1,)),
+    (13, "unitary", (1,), (5, 12)),
+    (14, "anti-diagonal", (2,), (3,)),
+    (13, "real", (3,), (8,)),
+    (14, "non-unitary", (2,), ()),
+    (13, "unitary", (0,), tuple(range(1, 13))),
+    # real matmul (t >= 4) on every view shape without a control below
+    (13, "real", (4,), ()),
+    (13, "real", (7,), (11,)),
+    (14, "real", (13,), ()),
+    (14, "real", (12,), (13,)),
+    (13, "real", (5,), (6, 12)),
+    (13, "real", (6,), (2,)),
+    # swapped halves (t >= 3): controls above, below and between the target
+    (13, "anti-diagonal", (3,), ()),
+    (13, "anti-diagonal", (6,), (7,)),
+    (14, "anti-diagonal", (8,), (2,)),
+    (13, "anti-diagonal", (5,), (0, 11)),
+    (14, "anti-diagonal", (13,), (0,)),
+    (14, "anti-diagonal", (12,), ()),
+    (14, "anti-diagonal", (10,), tuple(q for q in range(14) if q != 10)),
 ]
 
 
@@ -397,6 +437,42 @@ def test_large_state_paths_match_einsum_oracle(num_qubits, kind, targets, contro
     state = StateVector(num_qubits, amps.copy())
     apply_matrix(state, m, targets, controls)
     expected = _einsum_oracle(amps, num_qubits, m, targets, controls)
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("num_qubits,targets,controls", [(13, (5,), ()), (13, (4,), (9,)), (14, (9,), (2,)), (14, (3,), (5, 12))])
+def test_large_state_swap_is_an_exact_permutation(num_qubits, targets, controls):
+    """X and CNOT through the swapped halves move amplitudes bit for bit."""
+    rng = np.random.default_rng([num_qubits, *targets])
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    state = StateVector(num_qubits, amps.copy())
+    apply_matrix(state, X, targets, controls)
+    index = np.arange(1 << num_qubits)
+    on = np.ones(1 << num_qubits, dtype=bool)
+    for c in controls:
+        on &= (index >> c) & 1 == 1
+    assert np.array_equal(state.amplitudes, amps[np.where(on, index ^ (1 << targets[0]), index)])
+
+
+@pytest.mark.parametrize("order", ["strided", "reversed"])
+@pytest.mark.parametrize("kind,targets,controls", [
+    ("unitary", (0,), ()),  # real rows
+    ("real", (2,), (9,)),
+    ("real", (6,), ()),  # real matmul
+    ("anti-diagonal", (5,), (1,)),  # swapped halves
+])
+def test_large_state_paths_take_non_contiguous_input(order, kind, targets, controls):
+    """A strided or reversed amplitude array is stored C-contiguous, so the
+    float64 views of the new paths work on it."""
+    n = 13
+    rng = np.random.default_rng([n, *targets])
+    big = rng.normal(size=2 << n) + 1j * rng.normal(size=2 << n)
+    amps = big[::2] if order == "strided" else big[: 1 << n][::-1]
+    m = _matrix(kind, 2, rng)
+    state = StateVector(n, amps)
+    assert state.amplitudes.flags.c_contiguous
+    apply_matrix(state, m, targets, controls)
+    expected = _einsum_oracle(np.array(amps), n, m, targets, controls)
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
 
 
@@ -484,6 +560,16 @@ def test_bad_placement_fails_on_every_call(targets, controls, message, kernel):
     for _ in range(2):  # the second call must not find a cached plan
         with pytest.raises(ValueError, match=message):
             apply_matrix(init_basis_state(3), m, targets, controls)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_matrix_is_rejected(bad, kernel):
+    state = init_basis_state(3)
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = bad
+    with pytest.raises(ValueError, match=r"non-finite entries at \(row, column\) \[\[1, 0\]\]"):
+        apply_matrix(state, m, (1,), (2,))
+    assert np.array_equal(state.amplitudes, init_basis_state(3).amplitudes)
 
 
 def test_wrong_matrix_shape_fails_on_a_cached_placement(kernel):
