@@ -358,7 +358,8 @@ def _apply_real_rows(view: np.ndarray, m: np.ndarray, run: int, p: int) -> None:
     floats, times the realified block of ``m kron I_run``."""
     rows = view.reshape(view.shape[:p] + (2 * run,))
     group = 1
-    if run == 1 and rows.ndim > 1 and rows.shape[-2] % 2 == 0 and rows.strides[-2] == 2 * rows.itemsize:
+    adjacent = rows.ndim > 1 and rows.strides[-2] == 2 * rows.itemsize
+    if run == 1 and adjacent and rows.shape[-2] % 2 == 0:
         # two neighbouring rows per product, so the block is 8 floats wide
         rows = rows.reshape(rows.shape[:-2] + (rows.shape[-2] // 2, 4))
         group = 2

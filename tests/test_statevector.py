@@ -411,7 +411,8 @@ LARGE_CASES = [
     (13, "real", (3,), (8,)),
     (14, "non-unitary", (2,), ()),
     (13, "unitary", (0,), tuple(range(1, 13))),
-    # real matmul (t >= 4) on every view shape without a control below
+    # real matmul (t >= 4) on every view shape without a control below; with
+    # one below, a real matrix keeps the block path
     (13, "real", (4,), ()),
     (13, "real", (7,), (11,)),
     (14, "real", (13,), ()),
@@ -440,7 +441,10 @@ def test_large_state_paths_match_einsum_oracle(num_qubits, kind, targets, contro
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("num_qubits,targets,controls", [(13, (5,), ()), (13, (4,), (9,)), (14, (9,), (2,)), (14, (3,), (5, 12))])
+@pytest.mark.parametrize(
+    "num_qubits,targets,controls",
+    [(13, (5,), ()), (13, (4,), (9,)), (14, (9,), (2,)), (14, (3,), (5, 12))],
+)
 def test_large_state_swap_is_an_exact_permutation(num_qubits, targets, controls):
     """X and CNOT through the swapped halves move amplitudes bit for bit."""
     rng = np.random.default_rng([num_qubits, *targets])
