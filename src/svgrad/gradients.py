@@ -184,16 +184,19 @@ def _reverse_sweep(
     params: np.ndarray,
     obs: Observable,
     input_state: StateVector,
+    binding: _Binding,
     counters: OpCounters,
     audit: LiveStateAudit,
 ) -> tuple[np.ndarray, complex]:
     """Backward-sweep accumulation of <bra|probe> per parameter.
 
-    Returns the complex per-parameter sums and the expectation at theta.
-    Callers turn the sums into gradients (2 Re for a Hermitian operator).
+    ``binding`` is ``_bind(circuit, params, gradient=True)``, so two sweeps
+    over one table bind it once. Returns the complex per-parameter sums and
+    the expectation at theta. Callers turn the sums into gradients (2 Re for
+    a Hermitian operator).
     """
     gates, plans = circuit.gates, circuit._layout.plans
-    matrices, derivatives, adjoints = _bind(circuit, params, gradient=True)
+    matrices, derivatives, adjoints = binding
     # the ket rewinds with the adjoints, but with the true inverse of a NonUnitary gate
     rewinds = list(adjoints)
     for i in circuit._layout.per_gate:
@@ -248,8 +251,9 @@ def reverse_mode_gradient(
     """
     params = _check_call(circuit, params, obs, input_state, hermitian=True)
     counters = OpCounters()
+    binding = _bind(circuit, params, gradient=True)
     sums, energy = _reverse_sweep(
-        circuit, params, obs, input_state, counters, audit or LiveStateAudit()
+        circuit, params, obs, input_state, binding, counters, audit or LiveStateAudit()
     )
     return GradientReport((2.0 * sums.real).astype(complex), energy, counters)
 
@@ -293,14 +297,16 @@ def non_hermitian_gradient(
     gate i replaced by its derivative), so the derivative
     d<A>/dtheta_i = <in|V_i^dag A U|in> + <in|U^dag A V_i|in> is the
     conjugated A-sweep plus the adjoint-operator sweep. For Hermitian A the
-    two sweeps coincide and the sum reduces to 2 Re of either.
+    two sweeps coincide and the sum reduces to 2 Re of either. Both sweeps
+    share one binding, so each user matrix function runs once per call.
     """
     params = _check_call(circuit, params, obs, input_state)
     counters = OpCounters()
     audit = LiveStateAudit()
-    sums_a, energy = _reverse_sweep(circuit, params, obs, input_state, counters, audit)
+    binding = _bind(circuit, params, gradient=True)
+    sums_a, energy = _reverse_sweep(circuit, params, obs, input_state, binding, counters, audit)
     sums_adj, _ = _reverse_sweep(
-        circuit, params, adjoint_observable(obs), input_state, counters, audit
+        circuit, params, adjoint_observable(obs), input_state, binding, counters, audit
     )
     return GradientReport(np.conj(sums_a) + sums_adj, energy, counters)
 

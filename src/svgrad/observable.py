@@ -128,7 +128,10 @@ class Observable:
         if self.num_qubits > _NUMERIC_HERMITICITY_MAX_QUBITS:
             return False
         m = dense_matrix(self)
-        return bool(np.allclose(m, m.conj().T, atol=1e-12))
+        # absolute, on the scale of the entries: numpy's default relative
+        # tolerance would pass a small anti-Hermitian part next to a large entry
+        scale = sum(abs(c) for c, _ in self.terms)
+        return bool(np.allclose(m, m.conj().T, rtol=0, atol=1e-12 * scale))
 
     @cached_property
     def _apply_plan(self) -> tuple[tuple[_FlipGroup, ...], tuple[tuple[complex, str], ...]]:

@@ -13,7 +13,7 @@ Gate kernel. ``apply_matrix`` works in place on reshaped views of the
 amplitudes, without index tables. The amplitudes are viewed as a tensor
 with one length-2 axis per qubit the gate touches; the runs of other
 qubits between them become single axes. Each control axis is fixed at 1 by
-basic indexing, so controls cost no copy. One of six paths then does the
+basic indexing, so controls cost no copy. One of five paths then does the
 work, chosen from the matrix and from the run of 2^t amplitudes below the
 target t:
 
@@ -22,22 +22,24 @@ target t:
   two halves, each scaled by its off-diagonal entry, whatever the controls;
 * any other matrix with a run of at most 8 and no control below the
   target: each row of 2^(t+1) amplitudes, read as float64 pairs, times the
-  real form of the block ``m kron I`` (two rows per product at t=0);
-* a real matrix (H, Ry) with a run of at least 16 and no control below
-  the target: ``np.matmul(m.real, view)`` on the float64 view, which mixes
-  real and imaginary parts alike;
-* a complex matrix (Rx and its derivative) with a run of at least 128,
-  and at most one axis above the target: ``np.matmul(m, view)`` on the
-  (..., 2, 2^t) view;
-* anything else (middle targets of complex matrices, a control below the
-  target, two targets): the target axes are moved to the front, gathered
-  into a (2^k, M) block, multiplied by ``m`` once and written back.
+  real form of the block ``m kron I``;
+* with no control below the target, whatever lies above it:
+  ``np.matmul(m, view)`` on the (..., 2, 2^t) view, from a run of 16 for a
+  real matrix (H, Ry), as ``m.real`` on the float64 view, which mixes real
+  and imaginary parts alike, and from a run of 128 for a complex one (Rx
+  and its derivative);
+* anything else (complex matrices at runs of 16 to 64, a control below
+  the target, two targets): the target axes are moved to the front,
+  gathered into a (2^k, M) block, multiplied by ``m`` once and written
+  back.
 
-The paths work piece by piece, about 128 KB at a time. Each piece and its
-product then stay in cache, and no BLAS call is big enough to be split
-across threads. ``project_to_one`` zeroes the 0-slices through the same
-views. ``StateVector`` stores its amplitudes C-contiguous, so the float64
-views always exist.
+The paths work piece by piece, and one rule, ``_chunks``, cuts every piece:
+about 128 KB at a time, whole along the axes the path mixes (the target
+axis, a row, or the moved target axes), cut along the innermost axis that
+must be cut. Each piece and its product then stay in cache, and no BLAS
+call is big enough to be split across threads. ``project_to_one`` zeroes
+the 0-slices through the same views. ``StateVector`` stores its amplitudes
+C-contiguous, so the float64 views always exist.
 
 States of at most 2^12 amplitudes take a gather kernel instead. At that
 size Python and NumPy dispatch set the cost, and one fancy-indexed read and
@@ -156,8 +158,8 @@ _GATHER_MAX_AMPS = 1 << 12
 _CHUNK_AMPS = 1 << 13
 # Runs of 2^t amplitudes below a non-diagonal single target that pick each
 # path: the realified rows up to _REAL_ROWS_MAX_RUN, the swap of an
-# anti-diagonal matrix's halves from _SWAP_MIN_RUN, the real matmul from
-# _REAL_MATMUL_MIN_RUN and the complex matmul from _MATMUL_MIN_RUN; measured
+# anti-diagonal matrix's halves from _SWAP_MIN_RUN, the matmul of a real
+# matrix from _REAL_MATMUL_MIN_RUN and of a complex one from _MATMUL_MIN_RUN; measured
 # at N=20, the block path is fastest where none of them applies.
 _REAL_ROWS_MAX_RUN = 8
 _SWAP_MIN_RUN = 8
@@ -187,24 +189,18 @@ def _layout(num_qubits: int, qubits) -> tuple[tuple[int, ...], dict[int, int]]:
     return tuple(shape), axis
 
 
-def _pieces(view: np.ndarray, axis: int) -> list[np.ndarray]:
-    """``view`` cut along ``axis`` into views of about ``_CHUNK_AMPS`` amplitudes."""
-    size = view.shape[axis]
-    step = max(1, _CHUNK_AMPS * size // view.size)
-    lead = (slice(None),) * axis
-    return [view[lead + (slice(i, i + step),)] for i in range(0, size, step)]
-
-
-def _chunks(view: np.ndarray, keep: int) -> list[np.ndarray]:
-    """``view`` in pieces of about ``_CHUNK_AMPS`` elements, each whole along axis ``keep``.
+def _chunks(view: np.ndarray, keep: tuple[int, ...]) -> list[np.ndarray]:
+    """``view`` in pieces of about ``_CHUNK_AMPS`` elements, each whole along the axes in ``keep``.
 
     The pieces are cut along the innermost axis that must be cut, with the
-    axes outside it taken one index at a time, so each piece keeps the
+    other axes outside it taken one index at a time, so each piece keeps the
     longest runs its strides allow.
     """
-    inner = view.shape[keep]
+    inner = 1
+    for a in keep:
+        inner *= view.shape[a]
     for axis in range(view.ndim - 1, -1, -1):
-        if axis != keep:
+        if axis not in keep:
             if inner * view.shape[axis] > _CHUNK_AMPS:
                 break
             inner *= view.shape[axis]
@@ -213,7 +209,7 @@ def _chunks(view: np.ndarray, keep: int) -> list[np.ndarray]:
     step = max(1, _CHUNK_AMPS // inner)
     # length-1 slices for the outer axes, so every piece keeps the view's axes
     outer = [
-        [slice(None)] if a == keep else [slice(i, i + 1) for i in range(n)]
+        [slice(None)] if a in keep else [slice(i, i + 1) for i in range(n)]
         for a, n in enumerate(view.shape[:axis])
     ]
     return [
@@ -315,13 +311,12 @@ def _apply_single(view: np.ndarray, m: np.ndarray, t: int, p: int, controls: tup
     run = 1 << t
     # no control below the target: the view ends in the contiguous (2, run) tail
     tail = all(c > t for c in controls)
-    # and at most one axis above the target: the view is (2, run) or (rows, 2, run)
-    rows_view = p <= 1 and tail
     if m[0, 1] == 0 and m[1, 0] == 0:  # diagonal
-        if rows_view and 2 * run <= _CHUNK_AMPS:
-            # one multiply per piece by the diagonal tiled to the piece's shape
+        if tail and p <= 1 and 2 * run <= _CHUNK_AMPS:
+            # the view is (2, run) or (rows, 2, run): one multiply per piece by
+            # the diagonal tiled to the piece's shape
             rows = view.reshape(view.shape[:p] + (2 * run,))
-            parts = _pieces(rows, 0)
+            parts = _chunks(rows, (p,))
             scale = np.tile(np.repeat(m.diagonal(), run), parts[0].shape[:p] + (1,))
             for part in parts:
                 part *= scale[: len(part)]
@@ -333,21 +328,22 @@ def _apply_single(view: np.ndarray, m: np.ndarray, t: int, p: int, controls: tup
         # each half becomes the other one, scaled; the Ellipsis keeps a half a
         # view even when it is a single amplitude
         lead = (slice(None),) * p
-        for part in _chunks(view, p):
+        for part in _chunks(view, (p,)):
             low, high = part[lead + (0, ...)], part[lead + (1, ...)]
             new_high = low * m[1, 0]
             np.multiply(high, m[0, 1], out=low)
             high[...] = new_high
     elif tail and run <= _REAL_ROWS_MAX_RUN:
         _apply_real_rows(view, m, run, p)
-    elif tail and run >= _REAL_MATMUL_MIN_RUN and not m.imag.any():
-        # a real matrix mixes the halves' real and imaginary parts alike
-        real = np.ascontiguousarray(m.real)
-        for part in _chunks(view, p):
-            floats = part.view(np.float64)
-            floats[...] = np.matmul(real, floats)
-    elif rows_view and run >= _MATMUL_MIN_RUN:
-        for part in _pieces(view, 1 if p == 0 else 0):
+    elif tail and run >= (_MATMUL_MIN_RUN if m.imag.any() else _REAL_MATMUL_MIN_RUN):
+        # a real matrix mixes the halves' real and imaginary parts alike, so it
+        # multiplies the float64 view
+        real = not m.imag.any()
+        if real:
+            m = np.ascontiguousarray(m.real)
+        for part in _chunks(view, (p,)):
+            if real:
+                part = part.view(np.float64)
             part[...] = np.matmul(m, part)
     else:
         _apply_block(view, m, (p,))
@@ -357,18 +353,12 @@ def _apply_real_rows(view: np.ndarray, m: np.ndarray, run: int, p: int) -> None:
     """A short run below the target: each row of 2*run amplitudes, read as 4*run
     floats, times the realified block of ``m kron I_run``."""
     rows = view.reshape(view.shape[:p] + (2 * run,))
-    group = 1
-    adjacent = rows.ndim > 1 and rows.strides[-2] == 2 * rows.itemsize
-    if run == 1 and adjacent and rows.shape[-2] % 2 == 0:
-        # two neighbouring rows per product, so the block is 8 floats wide
-        rows = rows.reshape(rows.shape[:-2] + (rows.shape[-2] // 2, 4))
-        group = 2
     # rows multiply from the left, so by the transpose; a + bi acts on a (real,
     # imaginary) pair as [[a, -b], [b, a]], whose transpose is a I - b J. A
     # C-contiguous block keeps the product on BLAS's fast path.
-    block_t = np.kron(np.eye(group), np.kron(m.T, np.eye(run)))
+    block_t = np.kron(m.T, np.eye(run))
     block_t = np.kron(block_t.real, np.eye(2)) - np.kron(block_t.imag, _IMAG_UNIT)
-    for part in _chunks(rows, rows.ndim - 1):
+    for part in _chunks(rows, (p,)):
         floats = part.view(np.float64)
         floats[...] = floats @ block_t
 
@@ -376,17 +366,9 @@ def _apply_real_rows(view: np.ndarray, m: np.ndarray, run: int, p: int) -> None:
 def _apply_block(view: np.ndarray, m: np.ndarray, pos: tuple[int, ...]) -> None:
     """Any placement: gather the target axes into a (2^k, M) block, multiply, scatter back."""
     rest = tuple(a for a in range(view.ndim) if a not in pos)
-    # targets[k-1] leads, so the flattened leading index is the little-endian
-    # sub-index; the trailing unit axis leaves something to cut when every
-    # qubit is a target or a control
-    moved = view.transpose(pos[::-1] + rest)[..., np.newaxis]
-    # cut along the outermost axis long enough to give pieces of _CHUNK_AMPS
-    sizes = moved.shape[len(pos) :]
-    cut = next(
-        (i for i, s in enumerate(sizes) if s * _CHUNK_AMPS >= view.size),
-        sizes.index(max(sizes)),
-    )
-    for part in _pieces(moved, len(pos) + cut):
+    # targets[k-1] leads, so the flattened leading index is the little-endian sub-index
+    moved = view.transpose(pos[::-1] + rest)
+    for part in _chunks(moved, tuple(range(len(pos)))):
         part[...] = (m @ part.reshape(len(m), -1)).reshape(part.shape)
 
 

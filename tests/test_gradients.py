@@ -349,6 +349,41 @@ def test_hermitian_contract_errors():
         reference_gradient(circuit, [0.1], obs, init_basis_state(1))
 
 
+def test_small_anti_hermitian_part_is_not_hermitian():
+    """A 1e-6j coefficient next to a unit one makes a small but real imaginary
+    derivative; a relative tolerance on the dense check would drop it."""
+    circuit = Circuit(2, (rx(0, 0), rx(1, 1)), 2)
+    obs = Observable(2, ((1.0, "ZI"), (1e-6j, "IZ")))
+    inp = init_basis_state(2)
+    assert not obs.is_hermitian
+    with pytest.raises(ValueError, match="non_hermitian_gradient"):
+        reverse_mode_gradient(circuit, [0.3, 0.7], obs, inp)
+    nh = non_hermitian_gradient(circuit, [0.3, 0.7], obs, inp)
+    assert nh.values[1] == pytest.approx(-1e-6j * np.sin(0.7), abs=1e-15)
+    # the same entries scaled by 1e6 and exactly Hermitian stay Hermitian
+    assert Observable(2, ((1e6j, "+I"), (-1e6j, "-I"))).is_hermitian
+
+
+def test_non_hermitian_binds_once(monkeypatch):
+    """Both sweeps share one binding, so each user matrix function runs once."""
+    circuit = _mixed_circuit()
+    params = np.random.default_rng(55).uniform(-np.pi, np.pi, circuit.num_params)
+    obs = Observable(3, ((0.5 + 0.25j, "Z+I"), (-1.25, "YIZ")))
+    state = random_state(3, np.random.default_rng(56))
+    binds = []
+    bind = gradients_module._bind
+
+    def counting_bind(*args, **kwargs):
+        binds.append(kwargs)
+        return bind(*args, **kwargs)
+
+    monkeypatch.setattr(gradients_module, "_bind", counting_bind)
+    report = non_hermitian_gradient(circuit, params, obs, state)
+    assert binds == [{"gradient": True}]
+    fd = finite_difference_gradient(circuit, params, obs, state)
+    assert np.abs(report.values - fd.values).max() <= 1e-7
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "engine",

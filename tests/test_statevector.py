@@ -400,9 +400,9 @@ LARGE_CASES = [
     (13, "non-unitary", (12, 0), (6,)),
     (13, "diagonal", (3, 4), (1, 10)),
     (14, "anti-diagonal", (9, 2), (5,)),
-    # real rows (t <= 3): two rows per product at t=0, one row with a control
-    # right above, a view with axes on both sides of a control, the lone row
-    # left when every other qubit is a control
+    # real rows (t <= 3): whole rows at t=0, one row with a control right
+    # above, a view with axes on both sides of a control, the lone row left
+    # when every other qubit is a control
     (13, "real", (0,), ()),
     (14, "non-unitary", (0,), (13,)),
     (13, "unitary", (0,), (1,)),
@@ -427,6 +427,12 @@ LARGE_CASES = [
     (14, "anti-diagonal", (13,), (0,)),
     (14, "anti-diagonal", (12,), ()),
     (14, "anti-diagonal", (10,), tuple(q for q in range(14) if q != 10)),
+    # complex matmul with a control above and an axis on each side of it
+    (13, "unitary", (8,), (10,)),
+    (14, "non-unitary", (9,), (11, 13)),
+    # two targets and nothing else left to cut, and two targets at the top
+    (13, "unitary", (0, 1), tuple(range(2, 13))),
+    (14, "unitary", (12, 13), ()),
 ]
 
 
@@ -439,6 +445,50 @@ def test_large_state_paths_match_einsum_oracle(num_qubits, kind, targets, contro
     apply_matrix(state, m, targets, controls)
     expected = _einsum_oracle(amps, num_qubits, m, targets, controls)
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+def _check_chunks(view: np.ndarray, keep: tuple[int, ...]) -> None:
+    """``view`` is int64 zeros: the pieces must write each element exactly once,
+    keep every axis and the kept ones whole, and hold at most ``_CHUNK_AMPS``
+    elements whenever the kept axes fit."""
+    pieces = sv._chunks(view, keep)
+    for piece in pieces:
+        piece += 1
+        assert piece.ndim == view.ndim
+        assert all(piece.shape[a] == view.shape[a] for a in keep)
+        if np.prod([view.shape[a] for a in keep]) <= sv._CHUNK_AMPS:
+            assert piece.size <= sv._CHUNK_AMPS
+    assert (view == 1).all(), (view.shape, keep)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_chunks_partition_the_view(seed, monkeypatch):
+    """Random views of 1-5 axes, transposed or not, with 1-2 kept axes."""
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(sv, "_CHUNK_AMPS", int(rng.choice([4, 16, 64, 512])))
+    ndim = int(rng.integers(1, 6))
+    shape = tuple(int(n) for n in rng.choice([1, 2, 3, 4, 8, 16], size=ndim))
+    view = np.zeros(shape, dtype=np.int64)
+    if rng.random() < 0.5:
+        view = view.transpose(rng.permutation(ndim))
+    num_kept = min(ndim, int(rng.integers(1, 3)))
+    keep = tuple(int(a) for a in rng.choice(ndim, size=num_kept, replace=False))
+    _check_chunks(view, keep)
+
+
+@pytest.mark.parametrize("num_qubits,targets,controls", [
+    (14, (12, 13), ()),
+    (14, (0, 13), (6,)),
+    (13, (7, 2), (4, 11)),
+    (13, (0, 1), tuple(range(2, 13))),
+    (13, (5,), (0, 11)),
+])
+def test_chunks_partition_block_views(num_qubits, targets, controls):
+    """The transposed views ``_apply_block`` cuts, at the real piece size."""
+    shape, index, pos = sv._placement.__wrapped__(num_qubits, targets, controls)
+    view = np.zeros(shape, dtype=np.int64)[index]
+    rest = tuple(a for a in range(view.ndim) if a not in pos)
+    _check_chunks(view.transpose(pos[::-1] + rest), tuple(range(len(pos))))
 
 
 @pytest.mark.parametrize(
