@@ -18,7 +18,8 @@ Four routes to the same per-parameter derivatives of <psi(theta)|O|psi(theta)>:
   the independent oracle the others are tested against. Each shifted
   evaluation starts from a shared prefix state: the gates before the first
   use of the shifted parameter run once per parameter, not once per
-  evaluation.
+  evaluation. Each shifted table starts from the unshifted matrices and
+  re-forms only those of the gates that read the shifted parameter.
 
 Repeated parameter indices are handled by accumulating occurrence
 contributions into the shared table entry; ``uniquify_parameters`` exposes
@@ -37,6 +38,7 @@ counted, so those integers stay exact transcriptions of the schedules.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -45,6 +47,7 @@ import numpy as np
 from . import gates as g
 from .circuit import (
     Circuit,
+    RotationGroup,
     apply_gate_derivative,
     gate_derivative,
     gate_matrix,
@@ -167,10 +170,67 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
                     gate_derivative(gate, params, j) for j in range(gate.kind.arity)
                 )
         except ValueError as err:
-            raise ValueError(f"gate {i} ({type(gate.kind).__name__}): {err}") from err
+            raise _gate_error(i, gate, err) from err
         if gradient:
             adjoints[i] = matrices[i].conj().T
     return _Binding(matrices, derivatives, adjoints)
+
+
+def _gate_error(i: int, gate, err: ValueError) -> ValueError:
+    """``err`` from binding gate ``i``, prefixed with the gate's index and kind."""
+    return ValueError(f"gate {i} ({type(gate.kind).__name__}): {err}")
+
+
+class _Readers(NamedTuple):
+    """The gates that read one parameter."""
+
+    rotations: tuple[RotationGroup, ...]  # per Pauli string, the rotations that read it
+    per_gate: tuple[int, ...]  # the other parametric gates that read it, by circuit index
+
+
+def _readers(circuit: Circuit) -> list[_Readers]:
+    """Per parameter table entry, the gates that read it, split as ``_bind`` binds them."""
+    layout = circuit._layout
+    rotations: list[list[RotationGroup]] = [[] for _ in range(circuit.num_params)]
+    for group in layout.rotations:
+        positions: dict[int, list[int]] = {}
+        for position, k in enumerate(group.param_refs.tolist()):
+            positions.setdefault(k, []).append(position)
+        for k, where in positions.items():
+            rotations[k].append(
+                RotationGroup(
+                    group.axes,
+                    tuple(group.gates[p] for p in where),
+                    group.param_refs[where],
+                    group.alphas[where],
+                )
+            )
+    per_gate: list[list[int]] = [[] for _ in range(circuit.num_params)]
+    for i in layout.per_gate:
+        for k in dict.fromkeys(circuit.gates[i].param_refs):
+            per_gate[k].append(i)
+    return [_Readers(tuple(r), tuple(p)) for r, p in zip(rotations, per_gate)]
+
+
+def _rebind(circuit: Circuit, matrices: list, params: np.ndarray, readers: _Readers) -> list:
+    """``_bind(circuit, params).matrices`` from ``matrices``, bound to a table
+    that differs from ``params`` only in the entry ``readers`` belongs to.
+
+    Only the readers' matrices are formed again, each as ``_bind`` forms it,
+    so the result is the full bind's, bit for bit.
+    """
+    matrices = list(matrices)
+    for group in readers.rotations:
+        stack = g.rotation_matrix(group.axes, params[group.param_refs], group.alphas)
+        for i, m in zip(group.gates, stack):
+            matrices[i] = m
+    for i in readers.per_gate:
+        gate = circuit.gates[i]
+        try:
+            matrices[i] = gate_matrix(gate, params)
+        except ValueError as err:
+            raise _gate_error(i, gate, err) from err
+    return matrices
 
 
 def _forward(state: StateVector, gates, matrices, plans, counters: OpCounters) -> None:
@@ -321,23 +381,36 @@ def finite_difference_gradient(
     """Central-difference gradient: the independent correctness oracle.
 
     Every parameter p_k takes two expectation evaluations, at theta_k +/-
-    delta, from a binding of the shifted table. Gates before the first gate
-    f_k that uses p_k get the same matrices either way, so one prefix state
-    walks the parameters in order of f_k (f_k = G, the gate count, when no
-    gate uses p_k), moved forward through the unshifted matrices; each
-    evaluation clones it and runs only gates f_k..G-1. The values are bit
-    for bit those of two full evaluations per parameter. At the end the
+    delta, from the matrices of the shifted table. Each shifted table starts
+    from the unshifted matrices and forms again only those of the gates that
+    read p_k, as a full bind would (``_rebind``). Gates before the first
+    gate f_k that uses p_k get the same matrices either way, so one prefix
+    state walks the parameters in order of f_k (f_k = G, the gate count,
+    when no gate uses p_k), moved forward through the unshifted matrices;
+    each evaluation clones it and runs only gates f_k..G-1. The values are
+    bit for bit those of two full evaluations per parameter. At the end the
     prefix is the forward state, whose expectation is the report's energy.
     That is G + 2 sum_k (G - f_k) gate applications, 2P+1 clones, operator
     applications and inner products, and three live states: the input, the
-    prefix and the working state.
+    prefix and the working state. A ``delta`` that is not positive, or
+    whose double is not finite, and a shifted entry that overflows raise
+    ValueError.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (delta > 0 and math.isfinite(2.0 * delta)):
+        raise ValueError(f"delta must be positive and 2*delta finite, got {delta}")
     params = _check_call(circuit, params, obs, input_state)
+    with np.errstate(over="ignore"):
+        plus, minus = params + delta, params - delta
+    bad = np.flatnonzero(~(np.isfinite(plus) & np.isfinite(minus)))
+    if bad.size:
+        raise ValueError(
+            f"shifting by delta={delta} overflows: "
+            + ", ".join(f"p{k}={params[k]}" for k in bad)
+        )
     counters = OpCounters()
     gates, plans = circuit.gates, circuit._layout.plans
     matrices = _bind(circuit, params).matrices
+    readers = _readers(circuit)
     first = [len(gates)] * circuit.num_params
     for i in range(len(gates) - 1, -1, -1):
         for k in gates[i].param_refs:
@@ -352,9 +425,9 @@ def finite_difference_gradient(
         done = f
         shifted = params.copy()
         plus_minus = []
-        for step in (delta, -delta):
-            shifted[k] = params[k] + step
-            tail = _bind(circuit, shifted).matrices[f:]
+        for value in (plus[k], minus[k]):
+            shifted[k] = value
+            tail = _rebind(circuit, matrices, shifted, readers[k])[f:]
             state = clone_state(prefix, counters)
             _forward(state, gates[f:], tail, plans[f:], counters)
             plus_minus.append(expectation(state, obs, counters))

@@ -12,19 +12,30 @@ for I, Z. A term without ``H`` is therefore a flip mask x (one bit per
 qubit) times a diagonal, (term psi)[k] = D[k] psi[k xor x], where
 D[k] = c prod_q M_q[b_q, b_q xor x_q] over the bits b_q of k. Terms that
 share a flip mask sum into one diagonal D_x, and
-O psi = sum_x D_x * psi[k xor x]: one multiply and one add per mask group,
-with psi[k xor x] a reversed view of the amplitudes (one basic index),
-never a copy. This is the X/Z bitmask form of Pauli strings that Qiskit's
-``SparsePauliOp`` and qulacs use. Each observable builds its plan (the
-groups, their view shapes, their reversing indices and their diagonals) on
-its first apply and keeps it, read-only. When every term is in a group,
-``expectation`` is sum_x vdot(psi, D_x * psi[k xor x]), each product formed
-in one scratch buffer, and no output state is allocated. Terms with ``H``
-take one ``apply_matrix`` call per non-identity letter instead, and so does
-every term of an observable whose diagonals would exceed
+O psi = sum_x D_x * psi[k xor x]. This is the X/Z bitmask form of Pauli
+strings that Qiskit's ``SparsePauliOp`` and qulacs use. Each observable
+builds its plan on its first apply and keeps it, read-only: the groups,
+their diagonals as the rows of one (groups, 2^N) stack, and per group the
+view shape and reversing index under which psi[k xor x] is a reversed
+view of the amplitudes (one basic index), never a copy.
+
+Two ways to sum the groups, split at the gate kernel's own cut,
+``statevector._GATHER_MAX_AMPS`` (2^12 amplitudes), for the same reason:
+below it numpy dispatch sets the cost. There the plan also keeps the
+table index[x, k] = k xor x, and the grouped part is one gather,
+(D * psi[index]).sum(0). Above it each group costs one multiply and
+one add on its reversed view. ``expectation`` then sums
+vdot(psi, D_x * psi[k xor x]) group by group, each product formed in one
+scratch buffer, and allocates no output state; below the cut it is the
+``vdot`` of psi with the gathered sum. Terms with ``H`` take one
+``apply_matrix`` call per non-identity letter instead, and so does every
+term of an observable whose diagonals would exceed
 ``_DIAGONAL_BUDGET_BYTES``; the expectation is then the inner product with
-the applied state. A finite sum of the coefficients' absolute values, which
-the constructor checks, bounds every diagonal entry.
+the applied state. The diagonals stay within that budget at every size;
+the index table adds 8 bytes per amplitude per group, only at 2^12
+amplitudes or fewer, and the gather a (groups, 2^N) complex temporary per
+call. A finite sum of the coefficients' absolute values, which the
+constructor checks, bounds every diagonal entry.
 """
 from __future__ import annotations
 
@@ -37,6 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gates as g
+from . import statevector
 from .statevector import StateVector, apply_matrix, inner_product
 
 FACTORS = {
@@ -76,7 +88,22 @@ class _FlipGroup(NamedTuple):
 
     shape: tuple[int, ...]
     flip: tuple[slice, ...]  # basic index of the view that reverses its flipped axes
-    diagonal: np.ndarray  # read-only, of ``shape``
+    diagonal: np.ndarray  # read-only, of ``shape``: a view of a row of the plan's stack
+
+
+class _Plan(tuple):
+    """``(groups, with_h)``: the mask groups and the terms applied one by one.
+
+    ``diagonals`` is the read-only (groups, 2^N) stack that the groups'
+    diagonals view. ``index`` is the read-only intp table
+    index[g, k] = k xor mask_g for a state of at most
+    ``statevector._GATHER_MAX_AMPS`` amplitudes, and None above it.
+    """
+
+    def __new__(cls, groups, with_h, diagonals, index):
+        plan = super().__new__(cls, (groups, with_h))
+        plan.diagonals, plan.index = diagonals, index
+        return plan
 
 
 def _check_term(num_qubits: int, coeff: complex, factors: str) -> None:
@@ -134,7 +161,7 @@ class Observable:
         return bool(np.allclose(m, m.conj().T, rtol=0, atol=1e-12 * scale))
 
     @cached_property
-    def _apply_plan(self) -> tuple[tuple[_FlipGroup, ...], tuple[tuple[complex, str], ...]]:
+    def _apply_plan(self) -> _Plan:
         """The H-free terms grouped by flip mask, and the terms applied one by one."""
         by_mask: dict[tuple[bool, ...], list[tuple[complex, str]]] = {}
         with_h = []
@@ -147,27 +174,35 @@ class Observable:
                 )
         n = self.num_qubits
         if len(by_mask) * (16 << n) > _DIAGONAL_BUDGET_BYTES:
-            return (), self.terms
+            by_mask, with_h = {}, self.terms
+        diagonals = np.zeros((len(by_mask), 1 << n), dtype=complex)
+        for row, terms in zip(diagonals, by_mask.values()):
+            _add_group_diagonal(row.reshape((2,) * n), terms)
+        diagonals.flags.writeable = False  # before the views, which inherit it
         groups = []
-        for mask, terms in by_mask.items():
+        for mask, row in zip(by_mask, diagonals):
             # axis 0 of the C-order view is qubit N-1; a run of qubits that
             # all flip (or all keep) is one axis, reversed when it flips
             runs = [(flip, len(list(run))) for flip, run in itertools.groupby(reversed(mask))]
             shape = tuple(1 << length for _, length in runs)
             flip = tuple(slice(None, None, -1 if flips else 1) for flips, _ in runs)
-            diagonal = _group_diagonal(n, terms).reshape(shape)
-            diagonal.flags.writeable = False
-            groups.append(_FlipGroup(shape, flip, diagonal))
-        return tuple(groups), tuple(with_h)
+            groups.append(_FlipGroup(shape, flip, row.reshape(shape)))
+        index = None
+        if (1 << n) <= statevector._GATHER_MAX_AMPS:
+            masks = [sum(1 << q for q, flips in enumerate(mask) if flips) for mask in by_mask]
+            index = np.arange(1 << n, dtype=np.intp) ^ np.array(masks, dtype=np.intp)[:, None]
+            index.flags.writeable = False
+        return _Plan(tuple(groups), tuple(with_h), diagonals, index)
 
 
-def _group_diagonal(num_qubits: int, terms) -> np.ndarray:
-    """D[k] = sum_t c_t prod_q M_tq[b_q, b_q xor x_q] of one mask group.
+def _add_group_diagonal(diagonal: np.ndarray, terms) -> None:
+    """Add D[k] = sum_t c_t prod_q M_tq[b_q, b_q xor x_q] of one mask group
+    to the ``(2,)*N`` view ``diagonal``.
 
     Each term adds its product of per-qubit diagonals, broadcast over the
-    qubits where it is (1, 1), to the ``(2,)*N`` view.
+    qubits where it is (1, 1).
     """
-    diagonal = np.zeros((2,) * num_qubits, dtype=complex)
+    num_qubits = diagonal.ndim
     for coeff, factors in terms:
         product = np.asarray(coeff)
         for q, ch in enumerate(factors):
@@ -176,7 +211,13 @@ def _group_diagonal(num_qubits: int, terms) -> np.ndarray:
                 shape[num_qubits - 1 - q] = 2
                 product = product * _DIAGONAL[ch].reshape(shape)
         diagonal += product
-    return diagonal
+
+
+def _gathered(amplitudes: np.ndarray, plan: _Plan) -> np.ndarray:
+    """sum_g D_g * psi[k xor mask_g] as a fresh array, by one gather through ``plan.index``."""
+    products = amplitudes[plan.index]
+    np.multiply(plan.diagonals, products, out=products)
+    return products.sum(0)
 
 
 def _check_size(state: StateVector, obs: Observable) -> None:
@@ -191,24 +232,31 @@ def apply_observable(state: StateVector, obs: Observable, counters=None) -> Stat
 
     The input is not modified. The H-free terms cost one multiply and one
     add per flip-mask group, O(groups * 2^N), with the diagonals cached on
-    the observable. Each term with ``H``, and every term of an observable
+    the observable: one gather of every group at once for a state of at
+    most ``statevector._GATHER_MAX_AMPS`` amplitudes, one reversed view per
+    group above it. Each term with ``H``, and every term of an observable
     past ``_DIAGONAL_BUDGET_BYTES``, copies the input into the scratch state,
     applies its non-identity single-qubit factors, scales it by its
     coefficient in place (skipped for 1) and is added to the sum,
-    O(N * 2^N) per term. Either way the apply allocates the result and one
-    scratch state.
+    O(N * 2^N) per term. Above the cut the apply allocates the result and
+    one scratch state.
     """
     _check_size(state, obs)
-    groups, with_h = obs._apply_plan
-    out = np.zeros_like(state.amplitudes)
-    buffer = np.empty_like(state.amplitudes)
-    for group in groups:
-        flipped = state.amplitudes.reshape(group.shape)[group.flip]
-        np.multiply(group.diagonal, flipped, out=buffer.reshape(group.shape))
-        out += buffer
+    plan = obs._apply_plan
+    groups, with_h = plan
+    amplitudes = state.amplitudes
+    buffer = np.empty_like(amplitudes)
+    if plan.index is not None:
+        out = _gathered(amplitudes, plan)
+    else:
+        out = np.zeros_like(amplitudes)
+        for group in groups:
+            flipped = amplitudes.reshape(group.shape)[group.flip]
+            np.multiply(group.diagonal, flipped, out=buffer.reshape(group.shape))
+            out += buffer
     scratch = StateVector(state.num_qubits, buffer)
     for coeff, factors in with_h:
-        np.copyto(scratch.amplitudes, state.amplitudes)
+        np.copyto(scratch.amplitudes, amplitudes)
         for q, ch in enumerate(factors):
             if ch != "I":
                 apply_matrix(scratch, FACTORS[ch], (q,))
@@ -236,24 +284,30 @@ def adjoint_observable(obs: Observable) -> Observable:
 def expectation(state: StateVector, obs: Observable, counters=None) -> complex:
     """<state| obs |state>; complex in general, real up to rounding when Hermitian.
 
-    When every term went into a mask group, this is
-    sum_x vdot(state, D_x * state[k xor x]), one product into a scratch
-    buffer and one reduction per group, and no output state is formed.
-    Otherwise (terms with ``H``, or past ``_DIAGONAL_BUDGET_BYTES``) it is
-    the inner product of the state with ``apply_observable``. Either way it
-    counts one operator application and one inner product.
+    When every term went into a mask group, no output state is formed: for
+    a state of at most ``statevector._GATHER_MAX_AMPS`` amplitudes this is
+    the ``vdot`` of the state with the gathered sum of every group, and
+    above it sum_x vdot(state, D_x * state[k xor x]), one product into a
+    scratch buffer and one reduction per group. Otherwise (terms with
+    ``H``, or past ``_DIAGONAL_BUDGET_BYTES``) it is the inner product of
+    the state with ``apply_observable``. Either way it counts one operator
+    application and one inner product.
     """
-    groups, with_h = obs._apply_plan
+    plan = obs._apply_plan
+    groups, with_h = plan
     if with_h:
         return inner_product(state, apply_observable(state, obs, counters), counters)
     _check_size(state, obs)
     amplitudes = state.amplitudes
-    buffer = np.empty_like(amplitudes)
-    total = 0j
-    for group in groups:
-        flipped = amplitudes.reshape(group.shape)[group.flip]
-        np.multiply(group.diagonal, flipped, out=buffer.reshape(group.shape))
-        total += np.vdot(amplitudes, buffer)
+    if plan.index is not None:
+        total = np.vdot(amplitudes, _gathered(amplitudes, plan))
+    else:
+        buffer = np.empty_like(amplitudes)
+        total = 0j
+        for group in groups:
+            flipped = amplitudes.reshape(group.shape)[group.flip]
+            np.multiply(group.diagonal, flipped, out=buffer.reshape(group.shape))
+            total += np.vdot(amplitudes, buffer)
     if counters is not None:
         counters.observable_applies += 1
         counters.inner_products += 1

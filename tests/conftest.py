@@ -133,6 +133,24 @@ def observable_matrix_oracle(obs: Observable) -> np.ndarray:
     return out
 
 
+def observable_kron_apply(obs: Observable, amplitudes: np.ndarray) -> np.ndarray:
+    """``observable_matrix_oracle(obs) @ amplitudes`` without the 2^N x 2^N matrix.
+
+    Each term's Kronecker product acts one factor at a time, qubit j's
+    factor on axis N-1-j of the (2,)*N amplitude tensor.
+    """
+    n = obs.num_qubits
+    psi = amplitudes.reshape((2,) * n)
+    out = np.zeros_like(psi)
+    for coeff, factors in obs.terms:
+        term = psi
+        for q, ch in enumerate(factors):
+            axis = n - 1 - q
+            term = np.moveaxis(np.tensordot(_SIGMA[ch], term, axes=([1], [axis])), 0, axis)
+        out += coeff * term
+    return out.reshape(-1)
+
+
 def expectation_oracle(circuit: Circuit, params, obs: Observable, input_state: StateVector) -> complex:
     psi = circuit_operator_oracle(circuit, params) @ input_state.amplitudes
     return complex(np.vdot(psi, observable_matrix_oracle(obs) @ psi))

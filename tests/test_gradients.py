@@ -425,6 +425,113 @@ def test_fd_rejects_bad_delta():
         finite_difference_gradient(circuit, [0.1], Z1, init_basis_state(1), delta=0.0)
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 1e308])
+def test_fd_rejects_non_finite_delta(delta):
+    # 1e308 is finite, but the quotient's 2*delta is not
+    circuit = Circuit(1, (ry(0, 0),), 1)
+    with pytest.raises(ValueError, match="delta must be positive and 2\\*delta finite"):
+        finite_difference_gradient(circuit, [0.1], Z1, init_basis_state(1), delta=delta)
+
+
+@pytest.mark.parametrize("value", [1.7e308, -1.7e308])
+def test_fd_rejects_a_shifted_table_that_overflows(value):
+    circuit = Circuit(1, (ry(0, 0), rx(0, 1)), 2)
+    with pytest.raises(ValueError, match=r"^shifting by delta=1e\+307 overflows: p1="):
+        finite_difference_gradient(
+            circuit, [0.1, value], Z1, init_basis_state(1), delta=1e307
+        )
+
+
+def _every_reader_circuit() -> Circuit:
+    """``_mixed_circuit`` plus a parameter read twice in one rotation group and
+    in two groups, one read by both slots of a CustomParametric gate, and one
+    no gate reads."""
+    mixed = _mixed_circuit()
+    extra = (
+        rx(2, 0),
+        rp("ZZ", (0, 1), 3),
+        Gate(CustomParametric(_two_angle_matrix, 2, name="zy"), (0,), (), (14, 14)),
+    )
+    return Circuit(3, mixed.gates + extra, mixed.num_params + 2)
+
+
+def test_fd_rebind_is_the_full_bind_bit_for_bit():
+    circuit = _every_reader_circuit()
+    params = np.random.default_rng(64).uniform(-np.pi, np.pi, circuit.num_params)
+    matrices = gradients_module._bind(circuit, params).matrices
+    readers = gradients_module._readers(circuit)
+    assert len(readers) == circuit.num_params
+    for k in range(circuit.num_params):
+        reading = {i for i, gate in enumerate(circuit.gates) if k in gate.param_refs}
+        listed = [i for group in readers[k].rotations for i in group.gates]
+        listed += readers[k].per_gate
+        assert sorted(listed) == sorted(reading)
+        for step in (1e-5, -1e-5, 0.75):
+            shifted = params.copy()
+            shifted[k] += step
+            got = gradients_module._rebind(circuit, matrices, shifted, readers[k])
+            want = gradients_module._bind(circuit, shifted).matrices
+            assert len(got) == len(want)
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a.dtype == b.dtype and a.shape == b.shape, (k, i)
+                assert a.tobytes() == b.tobytes(), (k, step, i)
+                if i not in reading:
+                    assert a is matrices[i]
+
+
+def _nan_above_half(theta):
+    return rotation_matrix("Y", theta) if theta <= 0.5 else np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize(
+    "kind", [CustomParametric(_nan_above_half), NonUnitary(_nan_above_half, 1)],
+    ids=["custom", "non-unitary"],
+)
+def test_fd_error_at_a_shifted_value_names_the_gate(kind):
+    # the unshifted table binds; only theta_1 + delta makes the matrix function fail
+    circuit = Circuit(2, (ry(0, 0), cx(0, 1), Gate(kind, (1,), (0,), (1,)), rx(1, 0)), 2)
+    message = rf"^gate 2 \({type(kind).__name__}\): matrix function returned non-finite entries"
+    with pytest.raises(ValueError, match=message) as err:
+        finite_difference_gradient(
+            circuit, [0.3, 0.5], builtin_observable("z_all", 2), init_basis_state(2)
+        )
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("which", ["D", "every-reader"])
+def test_fd_forms_one_rotation_stack_per_string_and_table(which, monkeypatch):
+    """The call forms one stack per Pauli string at the unshifted table, and
+    per shifted table one per string that reads the shifted parameter, all
+    through ``svgrad.gates.rotation_matrix``, which tracing wraps. Family D
+    reads each parameter in one string: 2 + 2P calls."""
+    import svgrad.gates as gates_module
+
+    calls = []
+    original = gates_module.rotation_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    circuit = build_ansatz(AnsatzSpec("D", 3, reps=2)) if which == "D" else _every_reader_circuit()
+    strings = [
+        {gate.kind.axes for gate in circuit.gates
+         if k in gate.param_refs and isinstance(gate.kind, PauliRotation)}
+        for k in range(circuit.num_params)
+    ]
+    theta = np.random.default_rng(65).uniform(-np.pi, np.pi, circuit.num_params)
+    obs = Observable(3, ((0.5, "ZXI"), (-1.25, "YIZ")))
+    state = random_state(3, np.random.default_rng(66))
+    monkeypatch.setattr(gates_module, "rotation_matrix", counting)
+    report = finite_difference_gradient(circuit, theta, obs, state)
+    monkeypatch.setattr(gates_module, "rotation_matrix", original)
+    num_strings = len({gate.kind.axes for gate in circuit.gates
+                       if isinstance(gate.kind, PauliRotation)})
+    assert len(calls) == num_strings + 2 * sum(len(s) for s in strings)
+    values, _ = finite_difference_literal(circuit, theta, obs, state, 1e-5)
+    np.testing.assert_array_equal(report.values, values)
+
+
 def _first_uses(circuit: Circuit) -> list[int]:
     """The index of the first gate that uses each parameter, the gate count if none does."""
     return [

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import observable_matrix_oracle, random_state
+import svgrad.statevector as sv
+from conftest import observable_kron_apply, observable_matrix_oracle, random_state
 from svgrad.gradients import OpCounters
 import svgrad.observable as observable_module
 from svgrad.observable import (
@@ -219,7 +220,7 @@ def _h_free_observable(num_qubits, rng, num_terms=10, with_h=0):
     return Observable(num_qubits, tuple(terms))
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6, 8, 10])
 def test_grouped_apply_matches_kron_oracle(num_qubits):
     rng = np.random.default_rng(40 + num_qubits)
     for _ in range(5):
@@ -229,6 +230,92 @@ def test_grouped_apply_matches_kron_oracle(num_qubits):
         state = random_state(num_qubits, rng)
         expected = observable_matrix_oracle(obs) @ state.amplitudes
         np.testing.assert_allclose(apply_observable(state, obs).amplitudes, expected, atol=1e-12)
+
+
+def test_kron_factor_oracle_matches_the_dense_oracle():
+    rng = np.random.default_rng(45)
+    for num_qubits in (1, 2, 3, 5):
+        obs = _h_free_observable(num_qubits, rng, num_terms=4, with_h=2)
+        state = random_state(num_qubits, rng)
+        np.testing.assert_allclose(
+            observable_kron_apply(obs, state.amplitudes),
+            observable_matrix_oracle(obs) @ state.amplitudes,
+            rtol=0,
+            atol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("with_h", [0, 3])
+def test_grouped_apply_matches_kron_factors_at_the_gather_cut(with_h):
+    # N=12 is the largest state with a gather table; its dense oracle would be 256 MiB
+    num_qubits = 12
+    assert 1 << num_qubits == sv._GATHER_MAX_AMPS
+    rng = np.random.default_rng(46 + with_h)
+    obs = _h_free_observable(num_qubits, rng, with_h=with_h)
+    plan = obs._apply_plan
+    groups, terms_with_h = plan
+    assert len(terms_with_h) == with_h and plan.index.shape == (len(groups), 1 << 12)
+    state = random_state(num_qubits, rng)
+    expected = observable_kron_apply(obs, state.amplitudes)
+    np.testing.assert_allclose(apply_observable(state, obs).amplitudes, expected, atol=1e-12)
+    assert abs(expectation(state, obs) - np.vdot(state.amplitudes, expected)) <= 1e-11
+
+
+@pytest.mark.parametrize("num_qubits", [8, 10, 12, 13])
+def test_gather_and_view_sums_match_per_term(num_qubits, kernel):
+    # the plan reads the gather cut when it is built: "views" moves it to 0
+    rng = np.random.default_rng(57 + num_qubits)
+    for with_h in (0, 2):
+        obs = _h_free_observable(num_qubits, rng, with_h=with_h)
+        gathered = (1 << num_qubits) <= sv._GATHER_MAX_AMPS
+        assert (obs._apply_plan.index is not None) == gathered
+        state = random_state(num_qubits, rng)
+        np.testing.assert_allclose(
+            apply_observable(state, obs).amplitudes,
+            _apply_observable_with_temporaries(state, obs),
+            rtol=0,
+            atol=1e-12,
+        )
+        _assert_expectation_matches_apply(state, obs)
+
+
+def test_gather_index_flips_each_group_mask():
+    obs = Observable(4, ((1.0, "XZIY"), (0.5, "IZZI"), (-2.0, "+I-I"), (0.25j, "YIXI")))
+    plan = obs._apply_plan
+    masks = [0b1001, 0b0000, 0b0101]
+    assert plan.index.dtype == np.intp
+    np.testing.assert_array_equal(plan.index, np.arange(16) ^ np.array(masks)[:, None])
+    for group, row in zip(plan[0], plan.diagonals, strict=True):
+        np.testing.assert_array_equal(group.diagonal.reshape(-1), row)
+
+
+def _heisenberg(num_qubits, rng):
+    """All-pairs XX+YY+ZZ plus Z on each qubit: one mask per pair, and ZZ with Z on none."""
+    terms = []
+    for i in range(num_qubits):
+        for j in range(i + 1, num_qubits):
+            coupling = rng.uniform(-1.0, 1.0)
+            for axis in "XYZ":
+                f = ["I"] * num_qubits
+                f[i] = f[j] = axis
+                terms.append((coupling, "".join(f)))
+    for i in range(num_qubits):
+        f = ["I"] * num_qubits
+        f[i] = "Z"
+        terms.append((rng.uniform(-1.0, 1.0), "".join(f)))
+    return Observable(num_qubits, tuple(terms))
+
+
+def test_all_pairs_heisenberg_at_n10_keeps_every_group():
+    obs = _heisenberg(10, np.random.default_rng(58))
+    plan = obs._apply_plan
+    groups, with_h = plan
+    assert len(obs.terms) == 145 and with_h == ()
+    assert len(groups) == 46
+    assert plan.diagonals.nbytes == 46 * 16 * 2**10 <= observable_module._DIAGONAL_BUDGET_BYTES
+    assert plan.index.shape == (46, 2**10)
+    state = random_state(10, np.random.default_rng(59))
+    _assert_expectation_matches_apply(state, obs)
 
 
 def test_grouped_apply_matches_per_term_at_view_kernel_size():
@@ -243,7 +330,7 @@ def test_grouped_apply_matches_per_term_at_view_kernel_size():
     )
 
 
-@pytest.mark.parametrize("num_qubits", [3, 13])
+@pytest.mark.parametrize("num_qubits", [3, 13, 8, 10, 12])
 def test_mixed_hadamard_and_grouped_terms(num_qubits):
     rng = np.random.default_rng(48)
     obs = _h_free_observable(num_qubits, rng, num_terms=6, with_h=3)
@@ -285,7 +372,7 @@ def _assert_expectation_matches_apply(state, obs):
     assert counters == OpCounters(observable_applies=1, inner_products=1)
 
 
-@pytest.mark.parametrize("num_qubits", [1, 3, 6, 13])
+@pytest.mark.parametrize("num_qubits", [1, 3, 6, 13, 8, 10, 12])
 def test_grouped_expectation_matches_apply(num_qubits):
     rng = np.random.default_rng(70 + num_qubits)
     for _ in range(5):
@@ -294,7 +381,7 @@ def test_grouped_expectation_matches_apply(num_qubits):
         _assert_expectation_matches_apply(random_state(num_qubits, rng), obs)
 
 
-@pytest.mark.parametrize("num_qubits", [3, 13])
+@pytest.mark.parametrize("num_qubits", [3, 13, 8, 10, 12])
 def test_expectation_with_hadamard_terms_matches_apply(num_qubits):
     rng = np.random.default_rng(80 + num_qubits)
     obs = _h_free_observable(num_qubits, rng, num_terms=6, with_h=3)
@@ -322,6 +409,13 @@ def test_cached_diagonals_are_read_only():
     for group in groups:
         with pytest.raises(ValueError):
             group.diagonal[(0,) * group.diagonal.ndim] = 1.0
+    # one stack, which every group diagonal views, and the gather table
+    plan = obs._apply_plan
+    for group in groups:
+        assert np.shares_memory(group.diagonal, plan.diagonals)
+    for table in (plan.diagonals, plan.index):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 def test_threads_apply_one_fresh_observable():
