@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import svgrad.gates as gates_module
 import svgrad.gradients as gradients_module
 import svgrad.statevector as sv
 from conftest import expectation_oracle, finite_difference_literal, random_state
@@ -504,8 +505,6 @@ def test_fd_forms_one_rotation_stack_per_string_and_table(which, monkeypatch):
     per shifted table one per string that reads the shifted parameter, all
     through ``svgrad.gates.rotation_matrix``, which tracing wraps. Family D
     reads each parameter in one string: 2 + 2P calls."""
-    import svgrad.gates as gates_module
-
     calls = []
     original = gates_module.rotation_matrix
 
