@@ -222,7 +222,8 @@ class CircuitLayout:
     derivatives are bound one by one (Phase, CustomParametric, NonUnitary),
     and each gate's validated placement plan (``plans``) for the kernel the
     register size picks. The layout keeps one plan per distinct placement,
-    a gather table of at most 32 KB or a few small tuples, even where the
+    a read-only, C-contiguous (2^k, M) index table of at most 32 KB for the
+    gather kernel or a few small tuples for the view kernel, even where the
     bounded placement cache would evict and rebuild it between two gates.
     Nothing here is written after construction.
     """

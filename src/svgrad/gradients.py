@@ -393,8 +393,10 @@ def finite_difference_gradient(
     That is G + 2 sum_k (G - f_k) gate applications, 2P+1 clones, operator
     applications and inner products, and three live states: the input, the
     prefix and the working state. A ``delta`` that is not positive, or
-    whose double is not finite, and a shifted entry that overflows raise
-    ValueError.
+    whose double is not finite, a shifted entry that overflows and a
+    shifted entry that rounds back to the unshifted one (``delta`` below
+    that entry's float resolution) raise ValueError, naming each such
+    entry.
     """
     if not (delta > 0 and math.isfinite(2.0 * delta)):
         raise ValueError(f"delta must be positive and 2*delta finite, got {delta}")
@@ -405,6 +407,13 @@ def finite_difference_gradient(
     if bad.size:
         raise ValueError(
             f"shifting by delta={delta} overflows: "
+            + ", ".join(f"p{k}={params[k]}" for k in bad)
+        )
+    # a step below an entry's float resolution would give a silent zero
+    bad = np.flatnonzero((plus == params) | (minus == params))
+    if bad.size:
+        raise ValueError(
+            f"shifting by delta={delta} rounds back to the unshifted value: "
             + ", ".join(f"p{k}={params[k]}" for k in bad)
         )
     counters = OpCounters()

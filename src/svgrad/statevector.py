@@ -43,7 +43,9 @@ C-contiguous, so the float64 views always exist.
 
 States of at most 2^12 amplitudes take a gather kernel instead. At that
 size Python and NumPy dispatch set the cost, and one fancy-indexed read and
-write is the cheapest body.
+write is the cheapest body. Its plan is a read-only, C-contiguous (2^k, M)
+index table: the read, the product and the write back then walk
+contiguous memory, which a strided view of the index range would not.
 
 Each placement (qubit count, targets, controls) is validated once. Its
 plan sits in a bounded, read-only cache: the gather kernel's index table
@@ -227,9 +229,10 @@ def _placement(num_qubits: int, targets: tuple, controls: tuple):
     built for. For the view kernel the plan is the view shape, the index
     that fixes each control axis at 1, and where each target axis sits once
     the control axes are indexed away. For the gather kernel it is a
-    read-only (2^k, M) table of amplitude indices: column j holds one group
-    of 2^k amplitudes that a k-target matrix mixes, restricted to control
-    bits all 1. An invalid placement raises, so it is never cached.
+    read-only, C-contiguous (2^k, M) index table: column j holds the
+    amplitude indices of one group of 2^k amplitudes that a k-target matrix
+    mixes, restricted to control bits all 1. An invalid placement raises,
+    so it is never cached.
     """
     for label, qubits in (("target", targets), ("control", controls)):
         for q in qubits:
@@ -256,7 +259,10 @@ def _placement(num_qubits: int, targets: tuple, controls: tuple):
     # the amplitude indices, laid out as _apply_block lays out the amplitudes
     view = np.arange(1 << num_qubits).reshape(shape)[tuple(index)]
     rest = tuple(a for a in range(view.ndim) if a not in pos)
+    # a reshape that needs no copy would leave a strided view of the whole
+    # arange: the gather and the product are faster on a contiguous table
     groups = view.transpose(pos[::-1] + rest).reshape(1 << len(targets), -1)
+    groups = np.ascontiguousarray(groups)
     groups.flags.writeable = False
     return groups
 

@@ -443,6 +443,31 @@ def test_fd_rejects_a_shifted_table_that_overflows(value):
         )
 
 
+@pytest.mark.parametrize("value, delta", [(1.0, 1e-20), (1e17, 1.0)])
+def test_fd_rejects_a_step_below_the_float_resolution(value, delta, monkeypatch):
+    # value +/- delta == value: both shifted tables would be the unshifted one
+    # and the entry a silent zero; the check comes before any binding
+    def refuse(*args):
+        raise AssertionError("bound a circuit before checking the step")
+
+    monkeypatch.setattr(gradients_module, "_bind", refuse)
+    circuit = Circuit(1, (ry(0, 0),), 1)
+    message = f"^shifting by delta={delta} rounds back to the unshifted value: p0={value}$"
+    with pytest.raises(ValueError, match=message.replace("+", "\\+")):
+        finite_difference_gradient(circuit, [value], Z1, init_basis_state(1), delta=delta)
+
+
+@pytest.mark.parametrize("value", [1e17, 2.0**53])
+def test_fd_names_only_the_entries_a_step_cannot_shift(value):
+    # 2^53 + 1 rounds back to 2^53 but 2^53 - 1 does not: one side is enough
+    circuit = Circuit(1, (ry(0, 0), rx(0, 1)), 2)
+    message = f"^shifting by delta=1.0 rounds back to the unshifted value: p1={value}$"
+    with pytest.raises(ValueError, match=message.replace("+", "\\+")):
+        finite_difference_gradient(
+            circuit, [1.0, value], Z1, init_basis_state(1), delta=1.0
+        )
+
+
 def _every_reader_circuit() -> Circuit:
     """``_mixed_circuit`` plus a parameter read twice in one rotation group and
     in two groups, one read by both slots of a CustomParametric gate, and one
@@ -744,6 +769,14 @@ def _mixed_circuit() -> Circuit:
         ry(0, 3),  # a repeated parameter
     )
     return Circuit(3, gates, 14)
+
+
+@pytest.mark.parametrize("spec", [AnsatzSpec("C", 4, 161), AnsatzSpec("D", 10, 3)])
+def test_layout_gather_plans_are_contiguous(spec):
+    # the deep_n4 and oracle_heis_n10 benchmark circuits: every gate runs the
+    # gather kernel on a C-contiguous table
+    plans = build_ansatz(spec)._layout.plans
+    assert all(isinstance(plan, np.ndarray) and plan.flags.c_contiguous for plan in plans)
 
 
 def test_plan_matches_the_per_gate_api(kernel):

@@ -336,6 +336,41 @@ def test_every_placement_matches_dense_oracle(num_qubits, num_targets, kind, ker
         )
 
 
+def _check_gather_table(table: np.ndarray, num_targets: int) -> None:
+    """A read-only, C-contiguous (2^k, M) intp table that keeps at most 32 KB alive."""
+    assert isinstance(table, np.ndarray) and table.dtype == np.intp
+    assert table.ndim == 2 and len(table) == 1 << num_targets
+    assert table.flags.c_contiguous
+    assert not table.flags.writeable
+    held = table if table.base is None else table.base
+    assert held.nbytes <= 1 << 15
+
+
+@pytest.mark.parametrize("num_targets", [1, 2])
+@pytest.mark.parametrize("num_qubits", [4, 6])
+def test_every_gather_table_is_contiguous_and_read_only(num_qubits, num_targets):
+    for targets, controls in _placements(num_qubits, num_targets):
+        table = sv._placement.__wrapped__(num_qubits, targets, controls)
+        _check_gather_table(table, num_targets)
+
+
+@pytest.mark.parametrize("targets,controls", [
+    ((0,), ()),
+    ((0,), (1,)),
+    ((1,), (0,)),
+    ((0,), (5, 11)),
+    ((6,), (0, 11)),
+    ((11,), (0,)),
+    ((0, 11), ()),
+    ((11, 0), (5,)),
+    ((1, 3), (0, 2)),
+])
+def test_gather_tables_at_the_cut_are_contiguous_and_read_only(targets, controls):
+    # N=12 is the largest state with a gather table
+    assert 1 << 12 == sv._GATHER_MAX_AMPS
+    _check_gather_table(sv._placement.__wrapped__(12, targets, controls), len(targets))
+
+
 @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6, 7])
 def test_every_projection_matches_bit_oracle(num_qubits):
     rng = np.random.default_rng(num_qubits)
