@@ -1,4 +1,5 @@
 """Gradient engines: analytic cases, cross-method oracles, exact op accounting."""
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -452,8 +453,8 @@ def test_fd_rejects_a_step_below_the_float_resolution(value, delta, monkeypatch)
 
     monkeypatch.setattr(gradients_module, "_bind", refuse)
     circuit = Circuit(1, (ry(0, 0),), 1)
-    message = f"^shifting by delta={delta} rounds back to the unshifted value: p0={value}$"
-    with pytest.raises(ValueError, match=message.replace("+", "\\+")):
+    message = f"shifting by delta={delta} rounds back to the unshifted value: p0={value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         finite_difference_gradient(circuit, [value], Z1, init_basis_state(1), delta=delta)
 
 
@@ -461,8 +462,8 @@ def test_fd_rejects_a_step_below_the_float_resolution(value, delta, monkeypatch)
 def test_fd_names_only_the_entries_a_step_cannot_shift(value):
     # 2^53 + 1 rounds back to 2^53 but 2^53 - 1 does not: one side is enough
     circuit = Circuit(1, (ry(0, 0), rx(0, 1)), 2)
-    message = f"^shifting by delta=1.0 rounds back to the unshifted value: p1={value}$"
-    with pytest.raises(ValueError, match=message.replace("+", "\\+")):
+    message = f"shifting by delta=1.0 rounds back to the unshifted value: p1={value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         finite_difference_gradient(
             circuit, [1.0, value], Z1, init_basis_state(1), delta=1.0
         )
