@@ -19,7 +19,10 @@ and one derivative matrix per parameter (``gate_derivative``), dU/dtheta
 itself: alpha*i*(U @ P) for a rotation with Pauli product P,
 diag(0, i*e^{i theta}) for a phase gate, and the analytic or central
 difference matrix derivative of an entry-wise kind, whose user functions
-are checked for shape and finite entries on every evaluation.
+are checked for shape and finite entries on every evaluation. Every gate
+but a NonUnitary one is rewound with its adjoint, so a FixedUnitary
+matrix and a CustomParametric ``matrix_fn`` result must be unitary to
+UNITARY_TOL.
 ``apply_gate_derivative`` applies that matrix with the gate's controls
 and then zeroes every amplitude whose control bits are not all 1. The
 gradient engines pass the matrix in from their per-call binding, which
@@ -39,6 +42,7 @@ from . import statevector as sv
 from .statevector import StateVector, apply_matrix, check_num_qubits, project_to_one
 
 ENTRY_DERIV_STEP = 1e-6  # central-difference step for entry-wise matrix derivatives
+UNITARY_TOL = 1e-10  # largest |(M M^dag - I)_ij| a gate that is rewound by its adjoint may have
 
 
 class CircuitParseError(ValueError):
@@ -51,6 +55,20 @@ class CircuitParseError(ValueError):
 
 class NonInvertibleGateError(ValueError):
     """A gate whose bound matrix cannot be inverted, named by circuit index."""
+
+
+def _check_unitary(m: np.ndarray, what: str) -> None:
+    """Raise ValueError unless max|M M^dag - I| <= UNITARY_TOL.
+
+    The reverse sweep rewinds such a gate with its adjoint, which undoes
+    only a unitary matrix: anything else gives a silently wrong gradient.
+    """
+    residual = np.abs(m @ m.conj().T - np.eye(len(m))).max()
+    if residual > UNITARY_TOL:
+        raise ValueError(
+            f"{what} is not unitary (max|M M^dag - I| = {residual:.3g} > {UNITARY_TOL}); "
+            "a NonUnitary gate takes an invertible non-unitary matrix"
+        )
 
 
 @dataclass(frozen=True)
@@ -87,7 +105,7 @@ class FixedUnitary:
     """Parameter-free gate given by an explicit 2x2 or 4x4 matrix.
 
     The matrix is stored as a read-only complex copy of what was passed;
-    its entries must be finite.
+    its entries must be finite and it must be unitary to UNITARY_TOL.
     """
 
     matrix: np.ndarray
@@ -100,6 +118,7 @@ class FixedUnitary:
         bad = np.argwhere(~np.isfinite(m)).tolist()
         if bad:
             raise ValueError(f"fixed gate matrix has non-finite entries at (row, column) {bad}")
+        _check_unitary(m, "fixed gate matrix")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -115,7 +134,8 @@ class FixedUnitary:
 
 @dataclass(frozen=True, eq=False)
 class CustomParametric:
-    """Unitary given entry-wise by ``matrix_fn(*angles)``.
+    """Unitary given entry-wise by ``matrix_fn(*angles)``, checked unitary to
+    UNITARY_TOL on every evaluation.
 
     ``derivative_fn(which, *angles)``, when provided, must return
     d matrix / d angles[which]; otherwise entries are differentiated by
@@ -137,7 +157,8 @@ class NonUnitary(CustomParametric):
     """Invertible but non-unitary matrix gate, parameter-free by default.
 
     Rewinding such a gate uses the true matrix inverse where a unitary gate
-    would use its adjoint; everywhere else it behaves like CustomParametric.
+    would use its adjoint, so its matrix is not checked for unitarity;
+    everywhere else it behaves like CustomParametric.
     """
 
     num_params: int = 0
@@ -283,11 +304,11 @@ def phase_gate(target: int, param: int) -> Gate:
 
 
 def fixed(name: str, target: int) -> Gate:
-    return Gate(FixedUnitary(_FIXED[name], name), (target,), (), ())
+    return Gate(_FIXED[name], (target,), (), ())
 
 
 def cx(control: int, target: int) -> Gate:
-    return Gate(FixedUnitary(g.X, "x"), (target,), (control,), ())
+    return Gate(_FIXED["x"], (target,), (control,), ())
 
 
 def crx(control: int, target: int, param: int, alpha: float = -0.5) -> Gate:
@@ -302,7 +323,8 @@ def crz(control: int, target: int, param: int, alpha: float = -0.5) -> Gate:
     return Gate(PauliRotation("Z", alpha), (target,), (control,), (param,))
 
 
-_FIXED = {"h": g.H, "x": g.X, "y": g.Y, "z": g.Z}
+# one immutable kind per name, shared by every gate that names it
+_FIXED = {name: FixedUnitary(m, name) for name, m in zip("hxyz", (g.H, g.X, g.Y, g.Z))}
 
 
 # -- binding and application -------------------------------------------------
@@ -315,7 +337,8 @@ def _user_matrix(m, gate: Gate, what: str) -> np.ndarray:
     """A matrix that a gate's user function returned, as a checked complex array.
 
     Raises ValueError unless it is 2^k x 2^k for the gate's k targets with
-    finite entries: the kernels check neither once a plan is given.
+    finite entries: the kernels check neither once a plan is given. A
+    ``matrix_fn`` result must also be unitary, except for a NonUnitary gate.
     """
     m = np.asarray(m, dtype=complex)
     dim = 1 << len(gate.targets)
@@ -326,6 +349,8 @@ def _user_matrix(m, gate: Gate, what: str) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(m)).tolist()
     if bad:
         raise ValueError(f"{what} function returned non-finite entries at (row, column) {bad}")
+    if what == "matrix" and not isinstance(gate.kind, NonUnitary):
+        _check_unitary(m, "matrix function result")
     return m
 
 
@@ -520,10 +545,10 @@ def _parse_gate_line(tokens: list[str], line: int, num_qubits: int, num_params: 
         return Gate(Phase(), (qubit(tokens[1]),), (), (param(tokens[2]),))
     if op in _FIXED:
         want(2)
-        return Gate(FixedUnitary(_FIXED[op], op), (qubit(tokens[1]),), (), ())
+        return Gate(_FIXED[op], (qubit(tokens[1]),), (), ())
     if op == "cx":
         want(3)
-        return Gate(FixedUnitary(g.X, "x"), (qubit(tokens[2]),), (qubit(tokens[1]),), ())
+        return Gate(_FIXED["x"], (qubit(tokens[2]),), (qubit(tokens[1]),), ())
     if op in _CONTROLLED:
         want(4)
         return Gate(

@@ -19,7 +19,8 @@ Four routes to the same per-parameter derivatives of <psi(theta)|O|psi(theta)>:
   evaluation starts from a shared prefix state: the gates before the first
   use of the shifted parameter run once per parameter, not once per
   evaluation. Each shifted table starts from the unshifted matrices and
-  re-forms only those of the gates that read the shifted parameter.
+  re-forms those of the gates that read the shifted parameter, one
+  ``gate_matrix`` call each.
 
 Repeated parameter indices are handled by accumulating occurrence
 contributions into the shared table entry; ``uniquify_parameters`` exposes
@@ -47,7 +48,6 @@ import numpy as np
 from . import gates as g
 from .circuit import (
     Circuit,
-    RotationGroup,
     apply_gate_derivative,
     gate_derivative,
     gate_matrix,
@@ -147,7 +147,7 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
     product and their adjoints from one conjugate transpose; without it, as
     for finite differences, only the matrices are formed. Only Phase,
     CustomParametric and NonUnitary gates go through ``gate_matrix`` and
-    ``gate_derivative`` one by one.
+    ``gate_derivative`` one by one; a ValueError there names the gate.
     """
     layout = circuit._layout
     matrices = list(layout.fixed)
@@ -163,74 +163,21 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
                 derivatives[i], adjoints[i] = (d,), a
     for i in layout.per_gate:
         gate = circuit.gates[i]
-        try:
-            matrices[i] = gate_matrix(gate, params)
-            if gradient:
-                derivatives[i] = tuple(
-                    gate_derivative(gate, params, j) for j in range(gate.kind.arity)
-                )
-        except ValueError as err:
-            raise _gate_error(i, gate, err) from err
+        matrices[i] = _gate_call(i, gate, gate_matrix, params)
         if gradient:
+            derivatives[i] = tuple(
+                _gate_call(i, gate, gate_derivative, params, j) for j in range(gate.kind.arity)
+            )
             adjoints[i] = matrices[i].conj().T
     return _Binding(matrices, derivatives, adjoints)
 
 
-def _gate_error(i: int, gate, err: ValueError) -> ValueError:
-    """``err`` from binding gate ``i``, prefixed with the gate's index and kind."""
-    return ValueError(f"gate {i} ({type(gate.kind).__name__}): {err}")
-
-
-class _Readers(NamedTuple):
-    """The gates that read one parameter."""
-
-    rotations: tuple[RotationGroup, ...]  # per Pauli string, the rotations that read it
-    per_gate: tuple[int, ...]  # the other parametric gates that read it, by circuit index
-
-
-def _readers(circuit: Circuit) -> list[_Readers]:
-    """Per parameter table entry, the gates that read it, split as ``_bind`` binds them."""
-    layout = circuit._layout
-    rotations: list[list[RotationGroup]] = [[] for _ in range(circuit.num_params)]
-    for group in layout.rotations:
-        positions: dict[int, list[int]] = {}
-        for position, k in enumerate(group.param_refs.tolist()):
-            positions.setdefault(k, []).append(position)
-        for k, where in positions.items():
-            rotations[k].append(
-                RotationGroup(
-                    group.axes,
-                    tuple(group.gates[p] for p in where),
-                    group.param_refs[where],
-                    group.alphas[where],
-                )
-            )
-    per_gate: list[list[int]] = [[] for _ in range(circuit.num_params)]
-    for i in layout.per_gate:
-        for k in dict.fromkeys(circuit.gates[i].param_refs):
-            per_gate[k].append(i)
-    return [_Readers(tuple(r), tuple(p)) for r, p in zip(rotations, per_gate)]
-
-
-def _rebind(circuit: Circuit, matrices: list, params: np.ndarray, readers: _Readers) -> list:
-    """``_bind(circuit, params).matrices`` from ``matrices``, bound to a table
-    that differs from ``params`` only in the entry ``readers`` belongs to.
-
-    Only the readers' matrices are formed again, each as ``_bind`` forms it,
-    so the result is the full bind's, bit for bit.
-    """
-    matrices = list(matrices)
-    for group in readers.rotations:
-        stack = g.rotation_matrix(group.axes, params[group.param_refs], group.alphas)
-        for i, m in zip(group.gates, stack):
-            matrices[i] = m
-    for i in readers.per_gate:
-        gate = circuit.gates[i]
-        try:
-            matrices[i] = gate_matrix(gate, params)
-        except ValueError as err:
-            raise _gate_error(i, gate, err) from err
-    return matrices
+def _gate_call(i: int, gate, fn, *args):
+    """``fn(gate, *args)``, a ValueError prefixed with gate ``i``'s index and kind."""
+    try:
+        return fn(gate, *args)
+    except ValueError as err:
+        raise ValueError(f"gate {i} ({type(gate.kind).__name__}): {err}") from err
 
 
 def _forward(state: StateVector, gates, matrices, plans, counters: OpCounters) -> None:
@@ -382,9 +329,10 @@ def finite_difference_gradient(
 
     Every parameter p_k takes two expectation evaluations, at theta_k +/-
     delta, from the matrices of the shifted table. Each shifted table starts
-    from the unshifted matrices and forms again only those of the gates that
-    read p_k, as a full bind would (``_rebind``). Gates before the first
-    gate f_k that uses p_k get the same matrices either way, so one prefix
+    from the unshifted matrices and re-forms those of the gates that read
+    p_k with ``gate_matrix``, whose rotation matrix is bit for bit the row a
+    full bind's stacked closed form gives. Gates before the first gate f_k
+    that uses p_k get the same matrices either way, so one prefix
     state walks the parameters in order of f_k (f_k = G, the gate count,
     when no gate uses p_k), moved forward through the unshifted matrices;
     each evaluation clones it and runs only gates f_k..G-1. The values are
@@ -419,11 +367,11 @@ def finite_difference_gradient(
     counters = OpCounters()
     gates, plans = circuit.gates, circuit._layout.plans
     matrices = _bind(circuit, params).matrices
-    readers = _readers(circuit)
-    first = [len(gates)] * circuit.num_params
-    for i in range(len(gates) - 1, -1, -1):
-        for k in gates[i].param_refs:
-            first[k] = i
+    readers: list[list[int]] = [[] for _ in range(circuit.num_params)]
+    for i, gate in enumerate(gates):
+        for k in dict.fromkeys(gate.param_refs):
+            readers[k].append(i)
+    first = [r[0] if r else len(gates) for r in readers]
 
     values = np.zeros(circuit.num_params, dtype=complex)
     prefix = clone_state(input_state, counters)
@@ -436,7 +384,9 @@ def finite_difference_gradient(
         plus_minus = []
         for value in (plus[k], minus[k]):
             shifted[k] = value
-            tail = _rebind(circuit, matrices, shifted, readers[k])[f:]
+            tail = matrices[f:]
+            for i in readers[k]:
+                tail[i - f] = _gate_call(i, gates[i], gate_matrix, shifted)
             state = clone_state(prefix, counters)
             _forward(state, gates[f:], tail, plans[f:], counters)
             plus_minus.append(expectation(state, obs, counters))

@@ -31,7 +31,7 @@ from svgrad.circuit import (
     ry,
     rz,
 )
-from svgrad.gates import PAULI, X, rotation_matrix
+from svgrad.gates import PAULI, H, X, rotation_matrix
 from svgrad.gradients import OpCounters
 from svgrad.statevector import (
     StateVector,
@@ -402,6 +402,26 @@ def test_fixed_unitary_rejects_non_finite_entries(entry):
         FixedUnitary(matrix)
     with pytest.raises(ValueError, match="non-finite entries"):
         Gate(FixedUnitary(np.array([[entry, 0], [0, 1]])), (0,))
+
+
+@pytest.mark.parametrize(
+    "matrix", [np.diag([1.0, 2.0]), np.eye(4) + 1e-9 * np.eye(4)[::-1]], ids=["2x2", "4x4"]
+)
+def test_fixed_unitary_rejects_a_non_unitary_matrix(matrix):
+    # the reverse sweep rewinds a FixedUnitary with its adjoint
+    with pytest.raises(ValueError, match=r"^fixed gate matrix is not unitary .*NonUnitary"):
+        FixedUnitary(matrix)
+
+
+def test_fixed_unitary_takes_the_hadamard():
+    np.testing.assert_array_equal(FixedUnitary(H, "h").matrix, H)
+
+
+def test_fixed_gates_share_one_kind_per_name():
+    assert cx(0, 1).kind is cx(1, 2).kind is fixed("x", 0).kind
+    text = "qubits 2\nparams 0\nh q0\nx q1\ny q0\nz q1\ncx q0 q1\n"
+    parsed = [gate.kind for gate in parse_circuit(text).gates]
+    assert all(kind is fixed(name, 0).kind for kind, name in zip(parsed, "hxyzx", strict=True))
 
 
 @pytest.mark.parametrize("matrix,targets", [(np.eye(4), (0,)), (np.eye(2), (0, 1))])

@@ -232,6 +232,37 @@ def test_non_unitary_invertible_gate():
     np.testing.assert_allclose(rev.values, ref.values, atol=1e-11)
 
 
+def _stretch(t):
+    return np.diag([1.0, 2.0 + t])
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [reverse_mode_gradient, reference_gradient, non_hermitian_gradient, finite_difference_gradient],
+)
+def test_non_unitary_custom_gate_is_rejected(engine):
+    # rewound by its adjoint, this gate would give a silently wrong reverse gradient
+    circuit = Circuit(1, (ry(0, 0), Gate(CustomParametric(_stretch), (0,), (), (1,)), rx(0, 1)), 2)
+    message = r"^gate 1 \(CustomParametric\): matrix function result is not unitary .*NonUnitary"
+    with pytest.raises(ValueError, match=message):
+        engine(circuit, [0.3, 0.7], Z1, init_basis_state(1))
+
+
+@pytest.mark.parametrize(
+    "kind, refs",
+    [(NonUnitary(_stretch, 1), (1,)), (NonUnitary(lambda: np.diag([1.0, 2.0])), ())],
+    ids=["parametric", "fixed"],
+)
+def test_non_unitary_gate_takes_the_matrix_a_unitary_kind_refuses(kind, refs):
+    circuit = Circuit(1, (ry(0, 0), Gate(kind, (0,), (), refs), rx(0, 1)), 2)
+    theta, inp = [0.3, 0.7], init_basis_state(1)
+    rev = reverse_mode_gradient(circuit, theta, Z1, inp).values
+    np.testing.assert_allclose(rev, reference_gradient(circuit, theta, Z1, inp).values, atol=1e-12)
+    np.testing.assert_allclose(
+        rev, finite_difference_gradient(circuit, theta, Z1, inp).values, atol=1e-6
+    )
+
+
 def test_singular_gate_reported_with_index():
     gate = Gate(NonUnitary(lambda t: np.zeros((2, 2)), 1), (0,), (), (0,))
     circuit = Circuit(1, (ry(0, 0), gate), 1)
@@ -482,30 +513,6 @@ def _every_reader_circuit() -> Circuit:
     return Circuit(3, mixed.gates + extra, mixed.num_params + 2)
 
 
-def test_fd_rebind_is_the_full_bind_bit_for_bit():
-    circuit = _every_reader_circuit()
-    params = np.random.default_rng(64).uniform(-np.pi, np.pi, circuit.num_params)
-    matrices = gradients_module._bind(circuit, params).matrices
-    readers = gradients_module._readers(circuit)
-    assert len(readers) == circuit.num_params
-    for k in range(circuit.num_params):
-        reading = {i for i, gate in enumerate(circuit.gates) if k in gate.param_refs}
-        listed = [i for group in readers[k].rotations for i in group.gates]
-        listed += readers[k].per_gate
-        assert sorted(listed) == sorted(reading)
-        for step in (1e-5, -1e-5, 0.75):
-            shifted = params.copy()
-            shifted[k] += step
-            got = gradients_module._rebind(circuit, matrices, shifted, readers[k])
-            want = gradients_module._bind(circuit, shifted).matrices
-            assert len(got) == len(want)
-            for i, (a, b) in enumerate(zip(got, want)):
-                assert a.dtype == b.dtype and a.shape == b.shape, (k, i)
-                assert a.tobytes() == b.tobytes(), (k, step, i)
-                if i not in reading:
-                    assert a is matrices[i]
-
-
 def _nan_above_half(theta):
     return rotation_matrix("Y", theta) if theta <= 0.5 else np.full((2, 2), np.nan)
 
@@ -527,32 +534,39 @@ def test_fd_error_at_a_shifted_value_names_the_gate(kind):
 
 @pytest.mark.parametrize("which", ["D", "every-reader"])
 def test_fd_forms_one_rotation_stack_per_string_and_table(which, monkeypatch):
-    """The call forms one stack per Pauli string at the unshifted table, and
-    per shifted table one per string that reads the shifted parameter, all
-    through ``svgrad.gates.rotation_matrix``, which tracing wraps. Family D
-    reads each parameter in one string: 2 + 2P calls."""
-    calls = []
-    original = gates_module.rotation_matrix
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
+    """The call forms one rotation stack per Pauli string at the unshifted
+    table, and per shifted table one ``gate_matrix`` call for each gate that
+    reads the shifted parameter, a rotation's again through
+    ``svgrad.gates.rotation_matrix``; tracing wraps both. Family D reads
+    each parameter in one rotation: 2 + 2P rotation calls."""
     circuit = build_ansatz(AnsatzSpec("D", 3, reps=2)) if which == "D" else _every_reader_circuit()
-    strings = [
-        {gate.kind.axes for gate in circuit.gates
-         if k in gate.param_refs and isinstance(gate.kind, PauliRotation)}
-        for k in range(circuit.num_params)
-    ]
     theta = np.random.default_rng(65).uniform(-np.pi, np.pi, circuit.num_params)
+    rotation_calls, matrix_calls = [], []
+    original_rotation, original_matrix = gates_module.rotation_matrix, gradients_module.gate_matrix
+
+    def counting_rotation(*args, **kwargs):
+        rotation_calls.append(args[0])
+        return original_rotation(*args, **kwargs)
+
+    def counting_matrix(gate, params):
+        matrix_calls.append(np.array_equal(params, theta))
+        return original_matrix(gate, params)
+
+    readers = [
+        [gate for gate in circuit.gates if k in gate.param_refs] for k in range(circuit.num_params)
+    ]
     obs = Observable(3, ((0.5, "ZXI"), (-1.25, "YIZ")))
     state = random_state(3, np.random.default_rng(66))
-    monkeypatch.setattr(gates_module, "rotation_matrix", counting)
+    monkeypatch.setattr(gates_module, "rotation_matrix", counting_rotation)
+    monkeypatch.setattr(gradients_module, "gate_matrix", counting_matrix)
     report = finite_difference_gradient(circuit, theta, obs, state)
-    monkeypatch.setattr(gates_module, "rotation_matrix", original)
+    monkeypatch.undo()
     num_strings = len({gate.kind.axes for gate in circuit.gates
                        if isinstance(gate.kind, PauliRotation)})
-    assert len(calls) == num_strings + 2 * sum(len(s) for s in strings)
+    rotation_readers = sum(isinstance(gate.kind, PauliRotation) for r in readers for gate in r)
+    assert len(rotation_calls) == num_strings + 2 * rotation_readers
+    assert matrix_calls.count(False) == 2 * sum(len(r) for r in readers)
+    assert matrix_calls.count(True) == len(circuit._layout.per_gate)
     values, _ = finite_difference_literal(circuit, theta, obs, state, 1e-5)
     np.testing.assert_array_equal(report.values, values)
 
@@ -603,6 +617,21 @@ def test_fd_shared_prefix_matches_full_evaluations_on_every_kind():
     assert sorted(_first_uses(circuit)) != _first_uses(circuit)
     assert len(gates) in _first_uses(circuit)
     rng = np.random.default_rng(62)
+    params = rng.uniform(-np.pi, np.pi, circuit.num_params)
+    state = random_state(3, rng)
+    for obs in (
+        Observable(3, ((0.5, "ZXI"), (-1.25j, "Y+I"), (0.75, "IZ-"))),
+        Observable(3, ((0.5, "ZXI"), (-1.25, "YIZ"), (1.0, "HHH"))),
+    ):
+        _assert_fd_is_literal(circuit, params, obs, state)
+
+
+def test_fd_shared_prefix_matches_full_evaluations_on_every_reader():
+    """A parameter read twice by one Pauli string and by two strings, one
+    read by both slots of a CustomParametric gate and one no gate reads,
+    through both observable paths."""
+    circuit = _every_reader_circuit()
+    rng = np.random.default_rng(64)
     params = rng.uniform(-np.pi, np.pi, circuit.num_params)
     state = random_state(3, rng)
     for obs in (
