@@ -63,7 +63,9 @@ def _check_unitary(m: np.ndarray, what: str) -> None:
     The reverse sweep rewinds such a gate with its adjoint, which undoes
     only a unitary matrix: anything else gives a silently wrong gradient.
     """
-    residual = np.abs(m @ m.conj().T - np.eye(len(m))).max()
+    # this runs at import, for the shared fixed kinds: a matmul would start
+    # BLAS in every process (about 0.5 MB of RSS), a float identity a cast
+    residual = np.abs((m[:, None, :] * m.conj()).sum(-1) - np.eye(len(m), dtype=complex)).max()
     if residual > UNITARY_TOL:
         raise ValueError(
             f"{what} is not unitary (max|M M^dag - I| = {residual:.3g} > {UNITARY_TOL}); "
