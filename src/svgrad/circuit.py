@@ -583,7 +583,8 @@ def _gate_line(gate: Gate, index: int) -> str:
             return f"rp {kind.axes.lower()} {targets} p{p}"
     if isinstance(kind, Phase) and not gate.controls:
         return f"phase q{gate.targets[0]} p{gate.param_refs[0]}"
-    if isinstance(kind, FixedUnitary) and kind.name in _FIXED:
+    # the shared kind of its name, or one equal to it: a user-named matrix is not `h`
+    if isinstance(kind, FixedUnitary) and kind == _FIXED.get(kind.name):
         if not gate.controls:
             return f"{kind.name} q{gate.targets[0]}"
         if kind.name == "x" and len(gate.controls) == 1:

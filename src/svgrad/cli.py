@@ -28,6 +28,12 @@ from .statevector import init_basis_state
 EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_OUTPUT = 4
+EXIT_MEMORY = 5
+
+# state-vectors a `grad` call holds at its peak, in bytes as in the audit:
+# the input, bra, ket and probe of a reverse sweep, or the input, forward
+# state, bra and probe of the reference schedule
+_PEAK_STATES = 4
 
 
 def _load_observable(spec: str, num_qubits: int) -> Observable:
@@ -67,11 +73,11 @@ def _cmd_grad(args: argparse.Namespace) -> int:
             circuit = parse_circuit(fh.read())
         obs = _load_observable(args.observable, circuit.num_qubits)
         params = _load_params(args.params)
-        input_state = init_basis_state(circuit.num_qubits)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
+        input_state = init_basis_state(circuit.num_qubits)
         if args.method == "reference":
             report = reference_gradient(circuit, params, obs, input_state)
         elif obs.is_hermitian:
@@ -84,6 +90,14 @@ def _cmd_grad(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError:
+        n = circuit.num_qubits
+        print(
+            f"error: out of memory: a gradient on {n} qubits holds up to {_PEAK_STATES} "
+            f"states of 16*2^{n} = {16 << n} bytes, {_PEAK_STATES * (16 << n)} bytes in all",
+            file=sys.stderr,
+        )
+        return EXIT_MEMORY
     _print_report(report)
     return 0
 

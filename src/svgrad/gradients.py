@@ -9,7 +9,10 @@ Four routes to the same per-parameter derivatives of <psi(theta)|O|psi(theta)>:
   adjoints, the ket side carries the circuit state with the trailing gates
   undone, and each parameter occurrence contributes 2 Re <bra|probe>, where
   the probe is a clone of the ket hit with the gate's derivative matrix.
-  Every probe is cloned into one buffer, allocated once per sweep.
+  Every probe is cloned into one buffer, allocated once per sweep, and the
+  operator-applied state is written into the bra's own buffer, so the
+  sweep holds four states in bytes as well as in the audit: the input,
+  bra, ket and probe.
 * ``reference_gradient``: the faithful quadratic schedule: every parameter
   occurrence rebuilds its derivative-inserted state from the input.
 * ``non_hermitian_gradient``: two reverse sweeps (operator and its
@@ -216,7 +219,8 @@ def _reverse_sweep(
     _forward(bra, gates, matrices, plans, counters)
     ket = clone_state(bra, counters)
     audit.acquire()
-    bra = apply_observable(bra, obs, counters)
+    # the ket is a copy of the bra, so O|ket> can overwrite the spent bra in place
+    bra = apply_observable(ket, obs, counters, out=bra)
     # uncounted on purpose: the energy is a reporting convenience, not part
     # of the schedule whose costs the counters transcribe
     energy = complex(np.vdot(ket.amplitudes, bra.amplitudes))
@@ -254,7 +258,10 @@ def reverse_mode_gradient(
 
     Linear in the gate count: for P single-parameter gates, exactly 3P-1
     gate applications and at most four live state-vectors (input, bra, ket,
-    probe) whatever P is. Pass an audit to observe the latter.
+    probe) whatever P is. Pass an audit to observe the latter. The four are
+    also the peak in bytes: the operator applies to the ket and writes into
+    the bra, so only its one scratch state, freed before the first probe,
+    joins the input, bra and ket, plus the kernels' pieces of about 128 KB.
     """
     params = _check_call(circuit, params, obs, input_state, hermitian=True)
     counters = OpCounters()

@@ -1,6 +1,8 @@
 """Gate IR: binding, adjoint/inverse, derivative actions, text format."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svgrad.circuit as circuit_module
 from conftest import gate_operator_oracle, random_state
@@ -31,7 +33,7 @@ from svgrad.circuit import (
     ry,
     rz,
 )
-from svgrad.gates import PAULI, H, X, rotation_matrix
+from svgrad.gates import PAULI, H, X, Y, Z, rotation_matrix
 from svgrad.gradients import OpCounters
 from svgrad.statevector import (
     StateVector,
@@ -464,6 +466,61 @@ def test_parse_round_trip_is_byte_identical():
     circuit = parse_circuit(EXAMPLE)
     text = circuit_to_text(circuit)
     assert circuit_to_text(parse_circuit(text)) == text
+
+
+def test_user_named_fixed_gate_is_not_written_as_the_builtin():
+    circuit = Circuit(1, (Gate(FixedUnitary(np.diag([1, 1j]), "h"), (0,)),), 0)
+    with pytest.raises(ValueError, match="gate 0 .* not representable"):
+        circuit_to_text(circuit)
+
+
+@st.composite
+def _text_circuits(draw):
+    """Circuits of helper-built gates and user-built FixedUnitary kinds, some
+    named after a text-format gate with a different matrix, some equal to one."""
+    num_qubits = draw(st.integers(2, 3))
+    num_params = draw(st.integers(1, 3))
+    qubits = st.integers(0, num_qubits - 1)
+    param = st.integers(0, num_params - 1)
+    gates = []
+    for choice in draw(st.lists(st.integers(0, 4), min_size=1, max_size=8)):
+        a, b = draw(st.permutations(range(num_qubits)))[:2]
+        if choice == 0:
+            gates.append(draw(st.sampled_from([rx, ry, rz]))(draw(qubits), draw(param)))
+        elif choice == 1:
+            gates.append(crx(a, b, draw(param)))
+        elif choice == 2:
+            gates.append(draw(st.sampled_from([fixed(n, a) for n in "hxyz"] + [cx(a, b)])))
+        else:
+            name = draw(st.sampled_from(["h", "x", "y", "z", "s", ""]))
+            matrix = draw(st.sampled_from([H, X, Y, Z, np.diag([1, 1j])]))
+            controls = (b,) if choice == 4 else ()
+            gates.append(Gate(FixedUnitary(matrix, name), (a,), controls, ()))
+    return Circuit(num_qubits, tuple(gates), num_params)
+
+
+def _representable(gate):
+    kind = gate.kind
+    if not isinstance(kind, FixedUnitary):
+        return True
+    builtin = {"h": H, "x": X, "y": Y, "z": Z}.get(kind.name)
+    if builtin is None or not np.array_equal(kind.matrix, builtin):
+        return False
+    return not gate.controls or (kind.name == "x" and len(gate.controls) == 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_text_circuits())
+def test_text_round_trip_keeps_every_written_gate(circuit):
+    """A written circuit parses back equal; a fixed gate that is not the
+    format's own h, x, y, z or cx is refused instead of renamed."""
+    if all(_representable(gate) for gate in circuit.gates):
+        text = circuit_to_text(circuit)
+        assert parse_circuit(text) == circuit
+        assert circuit_to_text(parse_circuit(text)) == text
+    else:
+        with pytest.raises(ValueError, match="not representable"):
+            circuit_to_text(circuit)
 
 
 def test_parse_structure():

@@ -194,6 +194,44 @@ def test_grad_non_invertible_exit_code(tmp_path, capsys, monkeypatch):
     assert "non-invertible" in capsys.readouterr().err
 
 
+def test_grad_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "reverse_mode_gradient", exhausted)
+    circ = write(tmp_path, "ry.circ", RY_CIRCUIT)
+    assert cli.main(["grad", circ, "z_all", "0.1"]) == cli.EXIT_MEMORY == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out of memory" in captured.err and "4 states of 16*2^1 = 32 bytes" in captured.err
+
+
+def test_grad_out_of_memory_under_an_address_space_limit(tmp_path):
+    """A 24-qubit state is 256 MiB: under a 600 MiB address-space limit the
+    interpreter and the input fit, and the first clone does not. The limit
+    is set on the child alone, and the failed allocation touches no memory."""
+    resource = pytest.importorskip("resource")
+    limit = 600 << 20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    circ = write(tmp_path, "wide.circ", "qubits 24\nparams 1\nrx q0 p0\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "svgrad", "grad", circ, "z_all", "0.3"],
+        capture_output=True,
+        text=True,
+        env=dict(SRC_ENV, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=limit_address_space,
+    )
+    assert result.returncode == 5, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: out of memory: a gradient on 24 qubits holds up to 4 states of "
+        "16*2^24 = 268435456 bytes, 1073741824 bytes in all\n"
+    )
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = cli.main(

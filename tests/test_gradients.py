@@ -2,6 +2,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -732,6 +733,48 @@ def test_sweep_without_parameters_holds_no_probe():
     )
     assert report.counters.clones == 2
     assert (audit.peak, audit.live) == (3, 0)
+
+
+def _peak_states_beyond_input(engine, obs):
+    """Traced heap peak of one engine call on family D at N=16 (1 MiB states),
+    in states; the input is allocated before tracing starts, so it is not
+    counted, and a first call builds the layout and the observable plans."""
+    circuit = build_ansatz(AnsatzSpec("D", 16, reps=1))
+    theta = np.random.default_rng(48).uniform(0, 2 * np.pi, circuit.num_params)
+    input_state = init_basis_state(16)
+    engine(circuit, theta, obs, input_state)
+    tracemalloc.start()
+    try:
+        engine(circuit, theta, obs, input_state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / input_state.amplitudes.nbytes
+
+
+NON_HERMITIAN_16 = Observable(16, ((1.0, "Z" * 16), (0.5j, "+" + "I" * 15)))
+
+
+@pytest.mark.parametrize(
+    "engine, obs, bound",
+    [
+        # bra, ket and probe (the audit's 4 with the input), plus kernel pieces;
+        # O|ket> is written into the bra, so no output or scratch joins them
+        (reverse_mode_gradient, "z_all", 3.5),
+        (reverse_mode_gradient, "hadamard_all", 3.5),
+        (non_hermitian_gradient, "z_all", 3.5),
+        (non_hermitian_gradient, "hadamard_all", 3.5),
+        (non_hermitian_gradient, NON_HERMITIAN_16, 3.5),
+        # the prefix and the working state; `expectation` adds a scratch
+        # state for mask groups, and a scratch and an output for H terms
+        (finite_difference_gradient, "z_all", 3.5),
+        (finite_difference_gradient, "hadamard_all", 4.5),
+    ],
+)
+def test_engine_peak_in_bytes(engine, obs, bound):
+    if isinstance(obs, str):
+        obs = builtin_observable(obs, 16)
+    assert _peak_states_beyond_input(engine, obs) <= bound
 
 
 # -- report consistency -----------------------------------------------------------------------
