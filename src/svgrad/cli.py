@@ -30,10 +30,10 @@ EXIT_SINGULAR = 3
 EXIT_OUTPUT = 4
 EXIT_MEMORY = 5
 
-# state-vectors a `grad` call holds at its peak, in bytes as in the audit:
-# the input, bra, ket and probe of a reverse sweep, or the input, forward
-# state, bra and probe of the reference schedule
-_PEAK_STATES = 4
+# state-vectors a `grad` call holds at its peak, in bytes: the input, bra,
+# ket and probe of a reverse sweep; the input, forward state and bra of the
+# reference schedule, with the last probe still held while the next is cloned
+_PEAK_STATES = {"reverse": 4, "reference": 5}
 
 
 def _load_observable(spec: str, num_qubits: int) -> Observable:
@@ -91,10 +91,10 @@ def _cmd_grad(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except MemoryError:
-        n = circuit.num_qubits
+        n, states = circuit.num_qubits, _PEAK_STATES[args.method]
         print(
-            f"error: out of memory: a gradient on {n} qubits holds up to {_PEAK_STATES} "
-            f"states of 16*2^{n} = {16 << n} bytes, {_PEAK_STATES * (16 << n)} bytes in all",
+            f"error: out of memory: a {args.method} gradient on {n} qubits holds up to "
+            f"{states} states of 16*2^{n} = {16 << n} bytes, {states * (16 << n)} bytes in all",
             file=sys.stderr,
         )
         return EXIT_MEMORY

@@ -194,23 +194,33 @@ def test_grad_non_invertible_exit_code(tmp_path, capsys, monkeypatch):
     assert "non-invertible" in capsys.readouterr().err
 
 
-def test_grad_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "engine, method, states",
+    [("reverse_mode_gradient", "reverse", 4), ("reference_gradient", "reference", 5)],
+)
+def test_grad_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, engine, method, states):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "reverse_mode_gradient", exhausted)
+    monkeypatch.setattr(cli, engine, exhausted)
     circ = write(tmp_path, "ry.circ", RY_CIRCUIT)
-    assert cli.main(["grad", circ, "z_all", "0.1"]) == cli.EXIT_MEMORY == 5
+    assert cli.main(["grad", circ, "z_all", "0.1", "--method", method]) == cli.EXIT_MEMORY == 5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "out of memory" in captured.err and "4 states of 16*2^1 = 32 bytes" in captured.err
+    assert captured.err == (
+        f"error: out of memory: a {method} gradient on 1 qubits holds up to {states} states "
+        f"of 16*2^1 = 32 bytes, {32 * states} bytes in all\n"
+    )
 
 
 def test_grad_out_of_memory_under_an_address_space_limit(tmp_path):
     """A 24-qubit state is 256 MiB: under a 600 MiB address-space limit the
     interpreter and the input fit, and the first clone does not. The limit
     is set on the child alone, and the failed allocation touches no memory."""
-    resource = pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("RLIMIT_AS bounds the address space on Linux only")
+    import resource
+
     limit = 600 << 20
 
     def limit_address_space():
@@ -227,7 +237,7 @@ def test_grad_out_of_memory_under_an_address_space_limit(tmp_path):
     assert result.returncode == 5, result.stderr
     assert result.stdout == ""
     assert result.stderr == (
-        "error: out of memory: a gradient on 24 qubits holds up to 4 states of "
+        "error: out of memory: a reverse gradient on 24 qubits holds up to 4 states of "
         "16*2^24 = 268435456 bytes, 1073741824 bytes in all\n"
     )
 
