@@ -11,6 +11,7 @@ import numpy as np
 from .bench import run_benchmark, write_csv
 from .circuit import NonInvertibleGateError, parse_circuit
 from .gradients import (
+    PEAK_STATES,
     GradientReport,
     non_hermitian_gradient,
     reference_gradient,
@@ -29,11 +30,6 @@ EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_OUTPUT = 4
 EXIT_MEMORY = 5
-
-# state-vectors a `grad` call holds at its peak, in bytes: the input, bra,
-# ket and probe of a reverse sweep; the input, forward state and bra of the
-# reference schedule, with the last probe still held while the next is cloned
-_PEAK_STATES = {"reverse": 4, "reference": 5}
 
 
 def _load_observable(spec: str, num_qubits: int) -> Observable:
@@ -91,7 +87,7 @@ def _cmd_grad(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except MemoryError:
-        n, states = circuit.num_qubits, _PEAK_STATES[args.method]
+        n, states = circuit.num_qubits, PEAK_STATES[args.method]
         print(
             f"error: out of memory: a {args.method} gradient on {n} qubits holds up to "
             f"{states} states of 16*2^{n} = {16 << n} bytes, {states * (16 << n)} bytes in all",

@@ -10,9 +10,9 @@ Four routes to the same per-parameter derivatives of <psi(theta)|O|psi(theta)>:
   undone, and each parameter occurrence contributes 2 Re <bra|probe>, where
   the probe is a clone of the ket hit with the gate's derivative matrix.
   Every probe is cloned into one buffer, allocated once per sweep, and the
-  operator-applied state is written into the bra's own buffer, so the
-  sweep holds four states in bytes as well as in the audit: the input,
-  bra, ket and probe.
+  forward state is released once the ket has cloned it, before the
+  operator applies, so the sweep holds four states in bytes as well as in
+  the audit: the input, bra, ket and probe.
 * ``reference_gradient``: the faithful quadratic schedule: every parameter
   occurrence rebuilds its derivative-inserted state from the input.
 * ``non_hermitian_gradient``: two reverse sweeps (operator and its
@@ -60,6 +60,12 @@ from .observable import Observable, adjoint_observable, apply_observable, expect
 from .statevector import StateVector, apply_matrix, clone_state, inner_product
 
 DEFAULT_FD_STEP = 1e-5
+
+# state-vectors a call holds at its peak, in bytes: the input, bra, ket and
+# probe of a reverse sweep (each of non_hermitian_gradient's two as well);
+# the input, forward state and bra of the reference schedule, with the last
+# probe still held while the next is cloned
+PEAK_STATES = {"reverse": 4, "reference": 5}
 
 
 @dataclass
@@ -219,8 +225,10 @@ def _reverse_sweep(
     _forward(bra, gates, matrices, plans, counters)
     ket = clone_state(bra, counters)
     audit.acquire()
-    # the ket is a copy of the bra, so O|ket> can overwrite the spent bra in place
-    bra = apply_observable(ket, obs, counters, out=bra)
+    # the ket is a copy of the forward state, so the bra becomes O|ket>; the
+    # forward state is released first, or the apply's output would be a fifth state
+    del bra
+    bra = apply_observable(ket, obs, counters)
     # uncounted on purpose: the energy is a reporting convenience, not part
     # of the schedule whose costs the counters transcribe
     energy = complex(np.vdot(ket.amplitudes, bra.amplitudes))
@@ -259,9 +267,10 @@ def reverse_mode_gradient(
     Linear in the gate count: for P single-parameter gates, exactly 3P-1
     gate applications and at most four live state-vectors (input, bra, ket,
     probe) whatever P is. Pass an audit to observe the latter. The four are
-    also the peak in bytes: the operator applies to the ket and writes into
-    the bra, so only its one scratch state, freed before the first probe,
-    joins the input, bra and ket, plus the kernels' pieces of about 128 KB.
+    also the peak in bytes: the forward state is released once the ket
+    clones it, so the operator's output, the new bra, and its one scratch
+    state, freed before the first probe, join only the input and the ket,
+    plus the kernels' pieces of about 128 KB.
     """
     params = _check_call(circuit, params, obs, input_state, hermitian=True)
     counters = OpCounters()

@@ -27,10 +27,7 @@ table index[x, k] = k xor x, and the grouped part is one gather,
 one add on its reversed view. ``expectation`` then sums
 vdot(psi, D_x * psi[k xor x]) group by group, each product formed in one
 scratch buffer, and allocates no output state; below the cut it is the
-``vdot`` of psi with the gathered sum. ``apply_observable(out=)`` writes
-the result into a given state instead of a fresh one, so a caller that
-holds a spent state of the right size allocates only the scratch buffer.
-Terms with ``H`` take one
+``vdot`` of psi with the gathered sum. Terms with ``H`` take one
 ``apply_matrix`` call per non-identity letter instead, and so does every
 term of an observable whose diagonals would exceed
 ``_DIAGONAL_BUDGET_BYTES``; the expectation is then the inner product with
@@ -39,7 +36,8 @@ the index table adds 8 bytes per amplitude per group, only at 2^12
 amplitudes or fewer, and the gather a (groups, 2^N) complex temporary per
 call. A finite sum of the coefficients' absolute values, which the
 constructor checks, bounds every diagonal entry. The adjoint observable
-is cached on the observable too, with its own plan.
+is cached on the observable too, with its own plan, so an observable whose
+adjoint has been applied keeps a second plan of up to that budget.
 """
 from __future__ import annotations
 
@@ -228,12 +226,11 @@ def _add_group_diagonal(diagonal: np.ndarray, terms) -> None:
         diagonal += product
 
 
-def _gathered(amplitudes: np.ndarray, plan: _Plan, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_g D_g * psi[k xor mask_g] by one gather through ``plan.index``,
-    into ``out`` when given, else as a fresh array."""
+def _gathered(amplitudes: np.ndarray, plan: _Plan) -> np.ndarray:
+    """sum_g D_g * psi[k xor mask_g] as a fresh array, by one gather through ``plan.index``."""
     products = amplitudes[plan.index]
     np.multiply(plan.diagonals, products, out=products)
-    return products.sum(0, out=out)
+    return products.sum(0)
 
 
 def _check_size(state: StateVector, obs: Observable) -> None:
@@ -243,51 +240,33 @@ def _check_size(state: StateVector, obs: Observable) -> None:
         )
 
 
-def apply_observable(
-    state: StateVector, obs: Observable, counters=None, out: StateVector | None = None
-) -> StateVector:
-    """Generally unnormalised state sum_t coeff_t (factors_t) |state>.
+def apply_observable(state: StateVector, obs: Observable, counters=None) -> StateVector:
+    """Fresh, generally unnormalised state sum_t coeff_t (factors_t) |state>.
 
-    The input is not modified. The result is a fresh state, or, with
-    ``out``, is written into ``out``'s amplitudes and ``out`` is returned,
-    as with ``clone_state(out=)``: the sweep writes O|ket> into the spent
-    bra and allocates no output. ``out`` must have the state's qubit count
-    and must not share memory with it, because the apply reads the state
-    after it starts writing the result; either mistake raises ValueError.
-
-    The H-free terms cost one multiply and one add per flip-mask group,
-    O(groups * 2^N), with the diagonals cached on the observable: one
-    gather of every group at once for a state of at most
-    ``statevector._GATHER_MAX_AMPS`` amplitudes, one reversed view per
+    The input is not modified. The H-free terms cost one multiply and one
+    add per flip-mask group, O(groups * 2^N), with the diagonals cached on
+    the observable: one gather of every group at once for a state of at
+    most ``statevector._GATHER_MAX_AMPS`` amplitudes, one reversed view per
     group above it. Each term with ``H``, and every term of an observable
-    past ``_DIAGONAL_BUDGET_BYTES``, copies the input into the scratch
-    state, applies its non-identity single-qubit factors, scales it by its
+    past ``_DIAGONAL_BUDGET_BYTES``, copies the input into the scratch state,
+    applies its non-identity single-qubit factors, scales it by its
     coefficient in place (skipped for 1) and is added to the sum,
-    O(N * 2^N) per term. Above the cut the apply allocates one scratch
-    state, and the result too unless ``out`` is given.
+    O(N * 2^N) per term. Above the cut the apply allocates the result and
+    one scratch state.
     """
     _check_size(state, obs)
-    amplitudes = state.amplitudes
-    if out is not None:
-        if out.num_qubits != state.num_qubits:
-            raise ValueError(
-                f"qubit count mismatch: applying to {state.num_qubits} qubits, "
-                f"writing into {out.num_qubits}"
-            )
-        if np.shares_memory(out.amplitudes, amplitudes):
-            raise ValueError("apply_observable cannot write into memory its input shares")
     plan = obs._apply_plan
     groups, with_h = plan
-    result = np.empty_like(amplitudes) if out is None else out.amplitudes
+    amplitudes = state.amplitudes
     buffer = np.empty_like(amplitudes)
     if plan.index is not None:
-        _gathered(amplitudes, plan, result)
+        out = _gathered(amplitudes, plan)
     else:
-        result.fill(0)
+        out = np.zeros_like(amplitudes)
         for group in groups:
             flipped = amplitudes.reshape(group.shape)[group.flip]
             np.multiply(group.diagonal, flipped, out=buffer.reshape(group.shape))
-            result += buffer
+            out += buffer
     scratch = StateVector(state.num_qubits, buffer)
     for coeff, factors in with_h:
         np.copyto(scratch.amplitudes, amplitudes)
@@ -298,10 +277,10 @@ def apply_observable(
             # coefficient first, as in coeff * term: the SIMD loop rounds
             # scalar-times-array and array-times-scalar differently
             np.multiply(coeff, scratch.amplitudes, out=scratch.amplitudes)
-        result += scratch.amplitudes
+        out += scratch.amplitudes
     if counters is not None:
         counters.observable_applies += 1
-    return StateVector(state.num_qubits, result) if out is None else out
+    return StateVector(state.num_qubits, out)
 
 
 def adjoint_observable(obs: Observable) -> Observable:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import svgrad.cli as cli
+from svgrad.gradients import PEAK_STATES
 from svgrad.selftest import run_selftest
 
 RY_CIRCUIT = "qubits 1\nparams 1\nry q0 p0\n"
@@ -195,12 +196,13 @@ def test_grad_non_invertible_exit_code(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "engine, method, states",
-    [("reverse_mode_gradient", "reverse", 4), ("reference_gradient", "reference", 5)],
+    "engine, method", [("reverse_mode_gradient", "reverse"), ("reference_gradient", "reference")]
 )
-def test_grad_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, engine, method, states):
+def test_grad_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, engine, method):
     def exhausted(*args, **kwargs):
         raise MemoryError
+
+    states = PEAK_STATES[method]
 
     monkeypatch.setattr(cli, engine, exhausted)
     circ = write(tmp_path, "ry.circ", RY_CIRCUIT)
@@ -213,26 +215,31 @@ def test_grad_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, engine, met
     )
 
 
+# The child imports svgrad, numpy and its BLAS first, then caps its own
+# address space at what it has reserved so far plus 384 MiB: room for the
+# 256 MiB input state of 24 qubits, not for its first clone.
+_UNDER_ADDRESS_LIMIT = """
+import os, resource, sys
+from svgrad.cli import main
+with open("/proc/self/statm") as fh:
+    reserved = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+limit = reserved + (384 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def test_grad_out_of_memory_under_an_address_space_limit(tmp_path):
-    """A 24-qubit state is 256 MiB: under a 600 MiB address-space limit the
-    interpreter and the input fit, and the first clone does not. The limit
-    is set on the child alone, and the failed allocation touches no memory."""
+    """A 24-qubit gradient run under an address-space limit that the child
+    sets on itself exits 5; the failed allocation touches no memory."""
     if not sys.platform.startswith("linux"):
         pytest.skip("RLIMIT_AS bounds the address space on Linux only")
-    import resource
-
-    limit = 600 << 20
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
     circ = write(tmp_path, "wide.circ", "qubits 24\nparams 1\nrx q0 p0\n")
     result = subprocess.run(
-        [sys.executable, "-m", "svgrad", "grad", circ, "z_all", "0.3"],
+        [sys.executable, "-c", _UNDER_ADDRESS_LIMIT, "grad", circ, "z_all", "0.3"],
         capture_output=True,
         text=True,
         env=dict(SRC_ENV, OPENBLAS_NUM_THREADS="1"),
-        preexec_fn=limit_address_space,
     )
     assert result.returncode == 5, result.stderr
     assert result.stdout == ""

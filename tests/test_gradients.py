@@ -735,14 +735,16 @@ def test_sweep_without_parameters_holds_no_probe():
     assert (audit.peak, audit.live) == (3, 0)
 
 
-def _peak_states_beyond_input(engine, obs):
+def _peak_states_beyond_input(engine, obs, warm=True):
     """Traced heap peak of one engine call on family D at N=16 (1 MiB states),
     in states; the input is allocated before tracing starts, so it is not
-    counted, and a first call builds the layout and the observable plans."""
+    counted. With ``warm``, a first call builds the layout and the observable
+    plans, and the traced call builds none."""
     circuit = build_ansatz(AnsatzSpec("D", 16, reps=1))
     theta = np.random.default_rng(48).uniform(0, 2 * np.pi, circuit.num_params)
     input_state = init_basis_state(16)
-    engine(circuit, theta, obs, input_state)
+    if warm:
+        engine(circuit, theta, obs, input_state)
     tracemalloc.start()
     try:
         engine(circuit, theta, obs, input_state)
@@ -775,6 +777,23 @@ def test_engine_peak_in_bytes(engine, obs, bound):
     if isinstance(obs, str):
         obs = builtin_observable(obs, 16)
     assert _peak_states_beyond_input(engine, obs) <= bound
+
+
+@pytest.mark.parametrize(
+    "engine, obs, bound",
+    [
+        # z_all's diagonal is exactly the 1 MiB budget, so its plan is one
+        # state, built by the call and kept on the observable
+        (reverse_mode_gradient, "z_all", 4.5),
+        (reverse_mode_gradient, "hadamard_all", 3.5),
+        # the observable's plan and its cached adjoint's: two states
+        (non_hermitian_gradient, "z_all", 5.5),
+        (non_hermitian_gradient, "hadamard_all", 3.5),
+    ],
+)
+def test_engine_first_call_peak_in_bytes(engine, obs, bound):
+    obs = builtin_observable(obs, 16)
+    assert _peak_states_beyond_input(engine, obs, warm=False) <= bound
 
 
 # -- report consistency -----------------------------------------------------------------------

@@ -373,69 +373,6 @@ def test_diagonal_budget_boundary(monkeypatch):
     )
 
 
-def _assert_apply_into_matches_fresh(state, obs):
-    fresh = apply_observable(state, obs).amplitudes
-    before = state.amplitudes.copy()
-    out = StateVector(state.num_qubits, np.full_like(before, np.nan))  # every entry overwritten
-    counters = OpCounters()
-    assert apply_observable(state, obs, counters, out=out) is out
-    np.testing.assert_array_equal(out.amplitudes, fresh)
-    np.testing.assert_array_equal(state.amplitudes, before)
-    assert counters == OpCounters(observable_applies=1)
-
-
-@pytest.mark.parametrize("num_qubits", [1, 8, 12])
-def test_apply_into_out_on_the_gather_path(num_qubits):
-    rng = np.random.default_rng(110 + num_qubits)
-    obs = _h_free_observable(num_qubits, rng)
-    assert obs._apply_plan.index is not None and obs._apply_plan[1] == ()
-    _assert_apply_into_matches_fresh(random_state(num_qubits, rng), obs)
-
-
-def test_apply_into_out_on_the_group_path_above_the_cut():
-    rng = np.random.default_rng(120)
-    obs = _h_free_observable(13, rng)
-    assert obs._apply_plan.index is None and obs._apply_plan[0] and obs._apply_plan[1] == ()
-    _assert_apply_into_matches_fresh(random_state(13, rng), obs)
-
-
-@pytest.mark.parametrize("num_qubits", [3, 13])  # gather and view kernels
-def test_apply_into_out_with_hadamard_terms(num_qubits):
-    rng = np.random.default_rng(130 + num_qubits)
-    for obs in (
-        _h_free_observable(num_qubits, rng, num_terms=6, with_h=3),
-        builtin_observable("hadamard_all", num_qubits),
-    ):
-        assert obs._apply_plan[1]
-        _assert_apply_into_matches_fresh(random_state(num_qubits, rng), obs)
-
-
-@pytest.mark.parametrize("num_qubits", [6, 13])
-def test_apply_into_out_past_the_diagonal_budget(monkeypatch, num_qubits):
-    rng = np.random.default_rng(140 + num_qubits)
-    monkeypatch.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", 16 << num_qubits)
-    obs = _h_free_observable(num_qubits, rng)
-    assert obs._apply_plan[0] == () and len(obs._apply_plan[1]) == len(obs.terms)
-    _assert_apply_into_matches_fresh(random_state(num_qubits, rng), obs)
-
-
-def test_apply_into_out_rejects_shared_memory_and_size_mismatch():
-    obs = Observable(3, ((1.0, "XZI"), (0.5, "HII")))
-    memory = random_state(4, np.random.default_rng(150)).amplitudes
-    state = StateVector(3, memory[:8])
-    before = state.amplitudes.copy()
-    for out in (
-        state,
-        StateVector(3, state.amplitudes),  # a view of the whole state
-        StateVector(3, memory[4:12]),  # overlaps the state's upper half
-    ):
-        with pytest.raises(ValueError, match="shares"):
-            apply_observable(state, obs, out=out)
-    with pytest.raises(ValueError, match="qubit count mismatch"):
-        apply_observable(state, obs, out=init_basis_state(4))
-    np.testing.assert_array_equal(state.amplitudes, before)
-
-
 def _assert_expectation_matches_apply(state, obs):
     counters = OpCounters()
     got = expectation(state, obs, counters)
