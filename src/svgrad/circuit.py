@@ -241,14 +241,16 @@ class CircuitLayout:
     """What binding a circuit takes that no parameter value changes.
 
     The rotations grouped by Pauli string, every FixedUnitary matrix with
-    its adjoint (None at every other index), the gates whose matrices and
-    derivatives are bound one by one (Phase, CustomParametric, NonUnitary),
-    and each gate's validated placement plan (``plans``) for the kernel the
-    register size picks. The layout keeps one plan per distinct placement,
-    a read-only, C-contiguous (2^k, M) index table of at most 32 KB for the
-    gather kernel or a few small tuples for the view kernel, even where the
-    bounded placement cache would evict and rebuild it between two gates.
-    Nothing here is written after construction.
+    its adjoint (None at every other index; float64 for a real matrix such
+    as x, h, z and cx's X, so the gather kernel takes a real product), the
+    gates whose matrices and derivatives are bound one by one (Phase,
+    CustomParametric, NonUnitary), and each gate's validated placement plan
+    (``plans``) for the kernel the register size picks. The layout keeps
+    one plan per distinct placement, a read-only, C-contiguous (2^k, M)
+    index table of at most 32 KB for the gather kernel or a few small
+    tuples for the view kernel, even where the bounded placement cache
+    would evict and rebuild it between two gates. Nothing here is written
+    after construction.
     """
 
     def __init__(self, circuit: Circuit):
@@ -267,7 +269,8 @@ class CircuitLayout:
             if isinstance(kind, PauliRotation):
                 by_axes.setdefault(kind.axes, []).append(i)
             elif isinstance(kind, FixedUnitary):
-                fixed[i], fixed_adjoints[i] = kind.matrix, kind.matrix.conj().T
+                m = sv.real_if_exact(kind.matrix)
+                fixed[i], fixed_adjoints[i] = m, m.conj().T
             else:
                 per_gate.append(i)
         self.rotations = tuple(

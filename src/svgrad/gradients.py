@@ -57,15 +57,14 @@ from .circuit import (
     rewind_matrix,
 )
 from .observable import Observable, adjoint_observable, apply_observable, expectation
-from .statevector import StateVector, apply_matrix, clone_state, inner_product
+from .statevector import StateVector, apply_matrix, clone_state, inner_product, real_if_exact
 
 DEFAULT_FD_STEP = 1e-5
 
 # state-vectors a call holds at its peak, in bytes: the input, bra, ket and
 # probe of a reverse sweep (each of non_hermitian_gradient's two as well);
-# the input, forward state and bra of the reference schedule, with the last
-# probe still held while the next is cloned
-PEAK_STATES = {"reverse": 4, "reference": 5}
+# the input, forward state, bra and probe buffer of the reference schedule
+PEAK_STATES = {"reverse": 4, "reference": 4}
 
 
 @dataclass
@@ -154,7 +153,11 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
     vectorised closed form. With ``gradient``, for the reverse and reference
     schedules, their derivatives alpha*i*(U @ P) come from one batched
     product and their adjoints from one conjugate transpose; without it, as
-    for finite differences, only the matrices are formed. Only Phase,
+    for finite differences, only the matrices are formed. A stack with no
+    imaginary part (Ry, or any Pauli string with an odd number of Y), and
+    likewise its derivative products and every matrix bound one by one, is
+    kept as float64 (``real_if_exact``), so the gather kernel takes a real
+    product; the adjoints follow the matrices. Only Phase,
     CustomParametric and NonUnitary gates go through ``gate_matrix`` and
     ``gate_derivative`` one by one; a ValueError there names the gate.
     """
@@ -164,15 +167,18 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
     adjoints = list(layout.fixed_adjoints) if gradient else None
     for group in layout.rotations:
         stack = g.rotation_matrix(group.axes, params[group.param_refs], group.alphas)
+        stack = real_if_exact(stack)
         for i, m in zip(group.gates, stack):
             matrices[i] = m
         if gradient:
             products = (1j * group.alphas)[:, None, None] * (stack @ g.pauli_product(group.axes))
+            # not real whenever the stack is: Rx at angle 0 is I, its derivative -i/2 X
+            products = real_if_exact(products)
             for i, d, a in zip(group.gates, products, stack.conj().transpose(0, 2, 1)):
                 derivatives[i], adjoints[i] = (d,), a
     for i in layout.per_gate:
         gate = circuit.gates[i]
-        matrices[i] = _gate_call(i, gate, gate_matrix, params)
+        matrices[i] = real_if_exact(_gate_call(i, gate, gate_matrix, params))
         if gradient:
             derivatives[i] = tuple(
                 _gate_call(i, gate, gate_derivative, params, j) for j in range(gate.kind.arity)
@@ -300,9 +306,11 @@ def reference_gradient(
     bra = apply_observable(psi, obs, counters)
     energy = complex(np.vdot(psi.amplitudes, bra.amplitudes))  # uncounted, as in the sweep
 
+    # every probe is cloned into one buffer, allocated by the first clone
+    probe = None
     for i, gate in enumerate(gates):
         for j, derivative in enumerate(derivatives[i]):
-            probe = clone_state(input_state, counters)
+            probe = clone_state(input_state, counters, out=probe)
             _forward(probe, gates[:i], matrices[:i], plans[:i], counters)
             apply_gate_derivative(probe, gate, params, j, counters, derivative, plan=plans[i])
             _forward(probe, gates[i + 1 :], matrices[i + 1 :], plans[i + 1 :], counters)
@@ -347,7 +355,8 @@ def finite_difference_gradient(
     delta, from the matrices of the shifted table. Each shifted table starts
     from the unshifted matrices and re-forms those of the gates that read
     p_k with ``gate_matrix``, whose rotation matrix is bit for bit the row a
-    full bind's stacked closed form gives. Gates before the first gate f_k
+    full bind's stacked closed form gives, float64 when exactly real as a
+    bind keeps it. Gates before the first gate f_k
     that uses p_k get the same matrices either way, so one prefix
     state walks the parameters in order of f_k (f_k = G, the gate count,
     when no gate uses p_k), moved forward through the unshifted matrices;
@@ -402,7 +411,8 @@ def finite_difference_gradient(
             shifted[k] = value
             tail = matrices[f:]
             for i in readers[k]:
-                tail[i - f] = _gate_call(i, gates[i], gate_matrix, shifted)
+                # float64 when exactly real, as a bind gives it
+                tail[i - f] = real_if_exact(_gate_call(i, gates[i], gate_matrix, shifted))
             state = clone_state(prefix, counters)
             _forward(state, gates[f:], tail, plans[f:], counters)
             plus_minus.append(expectation(state, obs, counters))

@@ -45,7 +45,14 @@ States of at most 2^12 amplitudes take a gather kernel instead. At that
 size Python and NumPy dispatch set the cost, and one fancy-indexed read and
 write is the cheapest body. Its plan is a read-only, C-contiguous (2^k, M)
 index table: the read, the product and the write back then walk
-contiguous memory, which a strided view of the index range would not.
+contiguous memory, which a strided view of the index range would not. A
+float64 matrix means a real product: the gathered block, read as float64
+pairs, is multiplied by the real matrix, which mixes real and imaginary
+parts alike, in place of a complex product. The kernel reads realness
+from the dtype alone, so binding (``real_if_exact``) decides it once per
+matrix; a per-call test of the entries would cost most of a small apply.
+The view kernel tests a matrix's entries instead, as it always has, so a
+complex-typed real matrix, such as ``gates.H``, takes its real paths too.
 
 Each placement (qubit count, targets, controls) is validated once. Its
 plan sits in a bounded, read-only cache: the gather kernel's index table
@@ -53,7 +60,7 @@ of at most 32 KB, or the view kernel's shape, control index and target
 axes, whichever the qubit count picks. An invalid placement raises and is
 never cached. Without a plan, a repeated gate costs a matrix-shape check,
 the cache lookup and the kernel body. A caller that already holds the
-plan and a complex matrix of the right shape passes both to
+plan and a complex or float64 matrix of the right shape passes both to
 ``apply_matrix(plan=)``, and the call costs the kernel body alone; the
 gradient engines take every gate's plan from its circuit's cached layout.
 Neither kernel keeps a scratch buffer: every temporary belongs to one call,
@@ -267,6 +274,17 @@ def _placement(num_qubits: int, targets: tuple, controls: tuple):
     return groups
 
 
+def real_if_exact(m: np.ndarray) -> np.ndarray:
+    """A C-contiguous float64 copy of ``m.real`` when ``m`` has no imaginary
+    part, else ``m`` itself.
+
+    Binding calls this once per matrix or stack, so the gather kernel reads
+    realness from the dtype and takes a real product. The strided view
+    ``m.real`` would take numpy's slow non-BLAS product.
+    """
+    return m if m.imag.any() else np.ascontiguousarray(m.real)
+
+
 def apply_matrix(
     state: StateVector,
     m: np.ndarray,
@@ -283,15 +301,19 @@ def apply_matrix(
     be unitary. Cost is O(2^N) independent of the matrix content.
 
     Without ``plan``, the placement, the matrix shape and the finiteness
-    of its entries are checked. ``plan``, when given, must be
+    of its entries are checked; a float64 ``m`` is kept, any other is cast
+    to complex. ``plan``, when given, must be
     ``_placement(state.num_qubits, targets, controls)``, with ``targets``
-    and ``controls`` tuples and ``m`` a finite complex 2^k x 2^k array: the
-    call then checks nothing and runs the kernel body alone.
+    and ``controls`` tuples and ``m`` a finite complex or float64 2^k x 2^k
+    array: the call then checks nothing and runs the kernel body alone. A
+    float64 ``m`` takes a real product on the gather kernel.
     """
     if plan is None:
         targets, controls = tuple(targets), tuple(controls)
         plan = _placement(state.num_qubits, targets, controls)
-        m = np.asarray(m, dtype=complex)
+        m = np.asarray(m)
+        if m.dtype != np.float64:
+            m = m.astype(complex, copy=False)
         dim = 1 << len(targets)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not act on {len(targets)} targets")
@@ -300,7 +322,11 @@ def apply_matrix(
             raise ValueError(f"matrix has non-finite entries at (row, column) {bad}")
     amps = state.amplitudes
     if isinstance(plan, np.ndarray):  # the gather kernel's index table
-        amps[plan] = m.dot(amps[plan])
+        if m.dtype == np.float64:
+            # a real matrix acts on real and imaginary parts alike
+            amps[plan] = m.dot(amps[plan].view(np.float64)).view(complex)
+        else:
+            amps[plan] = m.dot(amps[plan])
     else:
         shape, index, pos = plan
         view = amps.reshape(shape)[index]

@@ -23,6 +23,7 @@ from svgrad.circuit import (
     PauliRotation,
     Phase,
     crx,
+    cry,
     cx,
     fixed,
     gate_derivative,
@@ -761,16 +762,21 @@ NON_HERMITIAN_16 = Observable(16, ((1.0, "Z" * 16), (0.5j, "+" + "I" * 15)))
     "engine, obs, bound",
     [
         # bra, ket and probe (the audit's 4 with the input), plus kernel pieces;
-        # O|ket> is written into the bra, so no output or scratch joins them
+        # the forward state is released before the operator applies, so its
+        # output and scratch join only the ket
         (reverse_mode_gradient, "z_all", 3.5),
         (reverse_mode_gradient, "hadamard_all", 3.5),
         (non_hermitian_gradient, "z_all", 3.5),
         (non_hermitian_gradient, "hadamard_all", 3.5),
         (non_hermitian_gradient, NON_HERMITIAN_16, 3.5),
-        # the prefix and the working state; `expectation` adds a scratch
-        # state for mask groups, and a scratch and an output for H terms
+        # the prefix and the working state; `expectation` adds one scratch
+        # state, for mask groups or for H terms, and no output state
         (finite_difference_gradient, "z_all", 3.5),
-        (finite_difference_gradient, "hadamard_all", 4.5),
+        (finite_difference_gradient, "hadamard_all", 3.5),
+        # the forward state, the bra and one probe buffer; during the apply,
+        # its scratch and output in place of the bra and the probe
+        (reference_gradient, "z_all", 3.5),
+        (reference_gradient, "hadamard_all", 3.5),
     ],
 )
 def test_engine_peak_in_bytes(engine, obs, bound):
@@ -919,6 +925,34 @@ def test_plan_derivative_matches_per_gate_derivative(kernel):
             per_gate = clone_state(state)
             gradients_module.apply_gate_derivative(per_gate, gate, params, j)
             np.testing.assert_allclose(planned.amplitudes, per_gate.amplitudes, rtol=0, atol=1e-15)
+
+
+def test_bind_keeps_exactly_real_matrices_float64():
+    """Ry, a Pauli string with an odd number of Y, and the fixed x, h and z
+    bind as float64, derivatives and adjoints included, so the gather kernel
+    takes a real product; every other matrix stays complex. Realness is
+    decided per Pauli-string stack: the one Rx, at angle 0, is the identity,
+    but its derivative -i/2 X is not real."""
+    gates = (
+        ry(0, 0), cry(1, 0, 1), rp("XY", (0, 1), 2), rp("YY", (1, 2), 3), rz(2, 4), rz(0, 5),
+        rx(1, 6), cx(0, 1), fixed("h", 2), fixed("z", 0), fixed("y", 1), phase_gate(0, 0),
+    )
+    circuit = Circuit(3, gates, 7)
+    params = np.array([0.3, -1.2, 0.8, 2.1, 0.4, -0.6, 0.0])
+    bound = gradients_module._bind(circuit, params, gradient=True)
+    real_matrices = {0, 1, 2, 6, 7, 8, 9}
+    real_derivatives = {0, 1, 2}
+    for i, gate in enumerate(gates):
+        want = np.float64 if i in real_matrices else np.complex128
+        assert bound.matrices[i].dtype == want, i
+        assert bound.adjoints[i].dtype == want, i
+        np.testing.assert_array_equal(bound.matrices[i], gate_matrix(gate, params))
+        np.testing.assert_array_equal(bound.adjoints[i], bound.matrices[i].conj().T)
+        for derivative in bound.derivatives[i]:
+            want = np.float64 if i in real_derivatives else np.complex128
+            assert derivative.dtype == want, i
+            np.testing.assert_array_equal(derivative, gate_derivative(gate, params))
+    assert gradients_module._bind(circuit, params).matrices[0].dtype == np.float64
 
 
 def test_fixed_gate_from_a_nested_list_runs_every_engine():

@@ -7,7 +7,8 @@ import pytest
 
 import svgrad.statevector as sv
 from conftest import observable_kron_apply, observable_matrix_oracle, random_state
-from svgrad.gradients import OpCounters
+from svgrad.ansatz import AnsatzSpec, build_ansatz
+from svgrad.gradients import OpCounters, reference_gradient, reverse_mode_gradient
 import svgrad.observable as observable_module
 from svgrad.observable import (
     FACTORS,
@@ -109,6 +110,34 @@ def test_hermitian_flag_numeric():
     # 2i|1><0| - 2i|0><1| = 2Y: hermitian despite complex coefficients
     obs = Observable(1, ((2j, "+"), (-2j, "-")))
     assert obs.is_hermitian
+
+
+def test_hermitian_flag_past_ten_qubits():
+    # |1><0| + |0><1| = X on qubit 0, at a size the dense check never reached
+    obs = Observable(11, ((1, "+" + "I" * 10), (1, "-" + "I" * 10)))
+    assert obs.is_hermitian
+    assert not Observable(11, ((1, "+" + "I" * 10),)).is_hermitian
+    assert not Observable(11, ((1, "ZZ" + "I" * 9), (1e-6j, "X" * 11))).is_hermitian
+    # a raising letter next to H still takes the dense check, capped at ten qubits
+    assert not Observable(11, ((1, "+" + "I" * 10), (1, "-" + "I" * 9 + "H"))).is_hermitian
+    circuit = build_ansatz(AnsatzSpec("D", 11, reps=1))
+    theta = np.random.default_rng(95).uniform(-np.pi, np.pi, circuit.num_params)
+    report = reference_gradient(circuit, theta, obs, init_basis_state(11))
+    x0 = Observable(11, ((1.0, "X" + "I" * 10),))
+    want = reverse_mode_gradient(circuit, theta, x0, init_basis_state(11))
+    np.testing.assert_allclose(report.values, want.values, rtol=0, atol=1e-10)
+
+
+def test_hermitian_flag_builds_no_dense_matrix_without_h(monkeypatch):
+    def refuse(obs):
+        raise AssertionError("dense_matrix called")
+
+    monkeypatch.setattr(observable_module, "dense_matrix", refuse)
+    heisenberg = _heisenberg(10, np.random.default_rng(96))
+    # 0.5i|1><0| - 0.5i|0><1| = Y/2 on qubit 0
+    extra = ((0.5j, "+" + "I" * 9), (-0.5j, "-" + "I" * 9))
+    assert Observable(10, heisenberg.terms + extra).is_hermitian
+    assert not Observable(10, heisenberg.terms + extra[:1]).is_hermitian
 
 
 def test_hermitian_expectation_is_real():
@@ -403,6 +432,64 @@ def test_expectation_past_the_diagonal_budget_matches_apply(monkeypatch):
     obs = _h_free_observable(6, rng)
     assert obs._apply_plan[0] == ()
     _assert_expectation_matches_apply(random_state(6, rng), obs)
+
+
+def _gathered_expectation(state, obs):
+    """The full gather's <psi|O|psi>: every group, every amplitude."""
+    plan = obs._apply_plan
+    return complex(np.vdot(state.amplitudes, observable_module._gathered(state.amplitudes, plan)))
+
+
+def _assert_pairs_match_full_gather(obs, rng):
+    scale = sum(abs(c) for c, _ in obs.terms)
+    for _ in range(3):
+        state = random_state(obs.num_qubits, rng)
+        got = expectation(state, obs)
+        assert got.imag == 0.0
+        assert abs(got - _gathered_expectation(state, obs)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("obs", [
+    builtin_observable("z_all", 5),
+    # a mixed-sign +/- Hermitian pair, a Z-X mix and one more +/- pair
+    Observable(3, ((0.5 - 0.25j, "+-I"), (0.5 + 0.25j, "-+I"), (0.3, "IZX"),
+                   (-0.7, "+IZ"), (-0.7, "-IZ"), (1.5, "ZII"))),
+    # a mask group whose terms cancel to an all-zero diagonal, and Y's imaginary entries
+    Observable(4, ((1.0, "XIYI"), (-1.0, "XIYI"), (0.25, "YYII"), (2.0, "IIIZ"))),
+], ids=["z_all", "plus-minus", "zero-group"])
+def test_pair_expectation_matches_full_gather(obs):
+    plan = obs._apply_plan
+    assert plan.pairs is not None
+    d0, rows, cols, vals = plan.pairs
+    assert d0.dtype == np.float64 and np.all(rows < cols) and np.all(vals != 0)
+    for table in plan.pairs:
+        assert not table.flags.writeable
+    _assert_pairs_match_full_gather(obs, np.random.default_rng(91))
+
+
+def test_heisenberg_pair_table_reads_each_nonzero_flip_pair_once():
+    obs = _heisenberg(10, np.random.default_rng(92))
+    d0, rows, cols, vals = obs._apply_plan.pairs
+    # XX + YY is zero where the pair's two bits agree: 256 of 512 pairs per mask
+    assert len(rows) == len(cols) == len(vals) == 45 * 256
+    masks = np.unique(rows ^ cols)  # one two-bit mask per coupled pair of qubits
+    assert len(masks) == 45 and all(bin(m).count("1") == 2 for m in masks)
+    _assert_pairs_match_full_gather(obs, np.random.default_rng(93))
+
+
+@pytest.mark.parametrize("obs", [
+    # Hermitian within the tolerance, not exactly: 0.2 and its float successor
+    Observable(2, ((complex(0.1, 0.2), "+I"), (complex(0.1, -np.nextafter(0.2, 1.0)), "-I"))),
+    Observable(2, ((1.0, "+I"), (0.5, "ZZ"))),
+], ids=["rounding-broken", "non-hermitian"])
+def test_inexact_pairs_keep_the_full_gather(obs):
+    assert obs._apply_plan.pairs is None
+    state = random_state(2, np.random.default_rng(94))
+    assert expectation(state, obs) == _gathered_expectation(state, obs)
+
+
+def test_pairs_only_below_the_gather_cut():
+    assert builtin_observable("z_all", 13)._apply_plan.pairs is None
 
 
 def test_expectation_size_mismatch():

@@ -371,6 +371,40 @@ def test_gather_tables_at_the_cut_are_contiguous_and_read_only(targets, controls
     _check_gather_table(sv._placement.__wrapped__(12, targets, controls), len(targets))
 
 
+@pytest.mark.parametrize("num_qubits", [4, 8, 10, 12])
+def test_float64_matrix_matches_its_complex_form(num_qubits):
+    """A float64 matrix takes the gather kernel's real product, on the float64
+    view of the gathered amplitudes; it must give what the complex matrix
+    gives, at every placement of Ry, H and X, with and without a control,
+    with a plan and without one."""
+    rng = np.random.default_rng([71, num_qubits])
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    ry = rotation_matrix("Y", 0.7)
+    placements = [
+        ((t,), controls)
+        for t in range(num_qubits)
+        for controls in [()] + [(c,) for c in range(num_qubits) if c != t]
+    ]
+    placements += [((0, num_qubits - 1), ()), ((num_qubits - 1, 1), (2,))]
+    for m in (ry, H, X, np.kron(ry, H)):
+        real = np.ascontiguousarray(m.real)
+        assert real.dtype == np.float64 and not m.imag.any()
+        for targets, controls in placements:
+            if len(targets) != len(m) // 2:
+                continue
+            plan = sv._placement(num_qubits, targets, controls)
+            assert isinstance(plan, np.ndarray)  # every size here takes the gather kernel
+            want = StateVector(num_qubits, amps.copy())
+            apply_matrix(want, m, targets, controls, plan=plan)
+            for given_plan in (plan, None):
+                got = StateVector(num_qubits, amps.copy())
+                apply_matrix(got, real, targets, controls, plan=given_plan)
+                np.testing.assert_allclose(
+                    got.amplitudes, want.amplitudes, rtol=0, atol=1e-15,
+                    err_msg=f"targets={targets} controls={controls}",
+                )
+
+
 @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6, 7])
 def test_every_projection_matches_bit_oracle(num_qubits):
     rng = np.random.default_rng(num_qubits)
