@@ -166,8 +166,7 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
     derivatives = [()] * len(matrices) if gradient else None
     adjoints = list(layout.fixed_adjoints) if gradient else None
     for group in layout.rotations:
-        stack = g.rotation_matrix(group.axes, params[group.param_refs], group.alphas)
-        stack = real_if_exact(stack)
+        stack = real_if_exact(g.rotation_matrix(group.axes, params[group.param_refs], group.alphas))
         for i, m in zip(group.gates, stack):
             matrices[i] = m
         if gradient:
