@@ -5,7 +5,9 @@ every qubit) for a grid of repetition depths, once per method, and fits
 log(mean runtime) against log(parameter count). Per grid point one theta
 vector is drawn from the seeded generator and reused across methods and
 repetitions, so method comparisons are paired; timing covers the gradient
-call only, never circuit construction or parsing.
+call only, never circuit construction or parsing. Repetitions run in
+rounds over the whole grid, so every grid point is timed across the same
+stretch of the run.
 """
 from __future__ import annotations
 
@@ -95,34 +97,40 @@ def run_benchmark(
     obs = builtin_observable("hadamard_all", num_qubits)
     input_state = init_basis_state(num_qubits)
 
-    records: list[BenchRecord] = []
+    # one theta per grid point, drawn in grid order, shared by every method
+    points = []
     for reps in reps_values:
         circuit = build_ansatz(AnsatzSpec(family, num_qubits, reps))
-        theta = rng.uniform(0.0, 2.0 * np.pi, circuit.num_params)
-        for method in methods:
-            compute = METHODS[method]
-            times = []
-            report: GradientReport | None = None
-            for _ in range(repetitions):
-                start = time.perf_counter()
-                report = compute(circuit, theta, obs, input_state)
-                times.append(time.perf_counter() - start)
-            times = np.asarray(times)
-            records.append(
-                BenchRecord(
-                    family=family,
-                    num_qubits=num_qubits,
-                    num_params=circuit.num_params,
-                    method=method,
-                    repetitions=repetitions,
-                    mean_runtime_seconds=float(times.mean()),
-                    stddev_runtime_seconds=float(times.std()),
-                    gate_applies=report.counters.gate_applies,
-                    derivative_applies=report.counters.derivative_applies,
-                    clones=report.counters.clones,
-                    inner_products=report.counters.inner_products,
-                )
-            )
+        points.append((circuit, rng.uniform(0.0, 2.0 * np.pi, circuit.num_params)))
+    cells = [(circuit, theta, method) for circuit, theta in points for method in methods]
+
+    # Each round times one call of every (grid point, method) cell, so a
+    # change in host load during the run slows all parameter counts alike
+    # instead of only those timed while it lasts, which would bend the slope.
+    times = np.empty((len(cells), repetitions))
+    reports: list[GradientReport | None] = [None] * len(cells)
+    for k in range(repetitions):
+        for c, (circuit, theta, method) in enumerate(cells):
+            start = time.perf_counter()
+            reports[c] = METHODS[method](circuit, theta, obs, input_state)
+            times[c, k] = time.perf_counter() - start
+
+    records = [
+        BenchRecord(
+            family=family,
+            num_qubits=num_qubits,
+            num_params=circuit.num_params,
+            method=method,
+            repetitions=repetitions,
+            mean_runtime_seconds=float(row.mean()),
+            stddev_runtime_seconds=float(row.std()),
+            gate_applies=report.counters.gate_applies,
+            derivative_applies=report.counters.derivative_applies,
+            clones=report.counters.clones,
+            inner_products=report.counters.inner_products,
+        )
+        for (circuit, _, method), row, report in zip(cells, times, reports)
+    ]
 
     fits: list[ScalingFit] = []
     for method in methods:
