@@ -11,7 +11,8 @@ adjoints, and one validated kernel placement plan per gate. That part is
 the circuit's ``CircuitLayout``, built whole on first use and cached on the
 circuit, which stays immutable. The gradient engines' per-call binding
 (``svgrad.gradients._bind``) then only evaluates what depends on the
-parameters, and the engines hand each gate's plan to the kernel.
+parameters, each gate's rewind included, once per call, so the reverse
+sweep forms no matrix; the engines hand each gate's plan to the kernel.
 
 Each gate has one action (``apply_gate``), one undo (``apply_gate_inverse``,
 from ``rewind_matrix``: the adjoint, or a NonUnitary gate's true inverse)

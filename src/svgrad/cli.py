@@ -63,6 +63,16 @@ def _print_report(report: GradientReport) -> None:
     )
 
 
+def _out_of_memory(what: str, n: int, states: int) -> int:
+    """Print the one-line out-of-memory error with the bytes ``states`` states need."""
+    print(
+        f"error: out of memory: {what} on {n} qubits holds up to {states} states "
+        f"of 16*2^{n} = {16 << n} bytes, {states * (16 << n)} bytes in all",
+        file=sys.stderr,
+    )
+    return EXIT_MEMORY
+
+
 def _cmd_grad(args: argparse.Namespace) -> int:
     try:
         with open(args.circuit, encoding="utf-8") as fh:
@@ -87,13 +97,8 @@ def _cmd_grad(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except MemoryError:
-        n, states = circuit.num_qubits, PEAK_STATES[args.method]
-        print(
-            f"error: out of memory: a {args.method} gradient on {n} qubits holds up to "
-            f"{states} states of 16*2^{n} = {16 << n} bytes, {states * (16 << n)} bytes in all",
-            file=sys.stderr,
-        )
-        return EXIT_MEMORY
+        what = f"a {args.method} gradient"
+        return _out_of_memory(what, circuit.num_qubits, PEAK_STATES[args.method])
     _print_report(report)
     return 0
 
@@ -120,6 +125,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError:
+        what = f"a {','.join(methods)} benchmark"
+        return _out_of_memory(what, args.qubits, max(PEAK_STATES[m] for m in methods))
     try:
         write_csv(args.output, records, fits)
     except OSError as exc:

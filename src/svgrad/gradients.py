@@ -142,6 +142,7 @@ class _Binding(NamedTuple):
     matrices: list
     derivatives: list | None  # dU/dtheta, one matrix per local parameter; when asked for
     adjoints: list | None  # the conjugate transposes, when asked for
+    rewinds: list | None  # the ket's undo: the adjoint, or a NonUnitary gate's inverse
 
 
 def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Binding:
@@ -152,14 +153,14 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
     placement plans. The rotations of one Pauli string are bound by one
     vectorised closed form. With ``gradient``, for the reverse and reference
     schedules, their derivatives alpha*i*(U @ P) come from one batched
-    product and their adjoints from one conjugate transpose; without it, as
-    for finite differences, only the matrices are formed. A stack with no
-    imaginary part (Ry, or any Pauli string with an odd number of Y), and
-    likewise its derivative products and every matrix bound one by one, is
-    kept as float64 (``real_if_exact``), so the gather kernel takes a real
-    product; the adjoints follow the matrices. Only Phase,
-    CustomParametric and NonUnitary gates go through ``gate_matrix`` and
-    ``gate_derivative`` one by one; a ValueError there names the gate.
+    product and their adjoints, also their rewinds, from one conjugate
+    transpose; without it, as for finite differences, only the matrices are
+    formed. Only Phase, CustomParametric and NonUnitary gates go through
+    ``gate_matrix``, ``gate_derivative`` and ``rewind_matrix`` one by one;
+    a ValueError there names the gate. Every matrix with no imaginary part
+    is kept float64 (``real_if_exact``), a rotation stack (Ry, or a Pauli
+    string with an odd number of Y) and its derivatives as a whole, so the
+    kernels take their real paths.
     """
     layout = circuit._layout
     matrices = list(layout.fixed)
@@ -175,21 +176,24 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
             products = real_if_exact(products)
             for i, d, a in zip(group.gates, products, stack.conj().transpose(0, 2, 1)):
                 derivatives[i], adjoints[i] = (d,), a
+    rewinds = list(adjoints) if gradient else None
     for i in layout.per_gate:
         gate = circuit.gates[i]
-        matrices[i] = real_if_exact(_gate_call(i, gate, gate_matrix, params))
+        matrices[i] = _gate_call(i, gate, gate_matrix, params)
         if gradient:
             derivatives[i] = tuple(
                 _gate_call(i, gate, gate_derivative, params, j) for j in range(gate.kind.arity)
             )
             adjoints[i] = matrices[i].conj().T
-    return _Binding(matrices, derivatives, adjoints)
+            rewinds[i] = real_if_exact(rewind_matrix(gate, matrices[i], i))
+    return _Binding(matrices, derivatives, adjoints, rewinds)
 
 
 def _gate_call(i: int, gate, fn, *args):
-    """``fn(gate, *args)``, a ValueError prefixed with gate ``i``'s index and kind."""
+    """``real_if_exact(fn(gate, *args))``, a ValueError prefixed with gate
+    ``i``'s index and kind."""
     try:
-        return fn(gate, *args)
+        return real_if_exact(fn(gate, *args))
     except ValueError as err:
         raise ValueError(f"gate {i} ({type(gate.kind).__name__}): {err}") from err
 
@@ -211,17 +215,13 @@ def _reverse_sweep(
 ) -> tuple[np.ndarray, complex]:
     """Backward-sweep accumulation of <bra|probe> per parameter.
 
-    ``binding`` is ``_bind(circuit, params, gradient=True)``, so two sweeps
-    over one table bind it once. Returns the complex per-parameter sums and
-    the expectation at theta. Callers turn the sums into gradients (2 Re for
-    a Hermitian operator).
+    ``binding`` is ``_bind(circuit, params, gradient=True)``, whose adjoints
+    undo the bra and rewinds the ket: two sweeps bind once and form no matrix.
+    Returns the complex per-parameter sums and the expectation at theta.
+    Callers turn the sums into gradients (2 Re for a Hermitian operator).
     """
     gates, plans = circuit.gates, circuit._layout.plans
-    matrices, derivatives, adjoints = binding
-    # the ket rewinds with the adjoints, but with the true inverse of a NonUnitary gate
-    rewinds = list(adjoints)
-    for i in circuit._layout.per_gate:
-        rewinds[i] = rewind_matrix(gates[i], matrices[i], i)
+    matrices, derivatives, adjoints, rewinds = binding
     sums = np.zeros(circuit.num_params, dtype=complex)
 
     audit.acquire()  # the borrowed input
@@ -297,7 +297,7 @@ def reference_gradient(
     params = _check_call(circuit, params, obs, input_state, hermitian=True)
     counters = OpCounters()
     gates, plans = circuit.gates, circuit._layout.plans
-    matrices, derivatives, _ = _bind(circuit, params, gradient=True)
+    matrices, derivatives, *_ = _bind(circuit, params, gradient=True)
     values = np.zeros(circuit.num_params, dtype=complex)
 
     psi = clone_state(input_state, counters)
@@ -410,8 +410,7 @@ def finite_difference_gradient(
             shifted[k] = value
             tail = matrices[f:]
             for i in readers[k]:
-                # float64 when exactly real, as a bind gives it
-                tail[i - f] = real_if_exact(_gate_call(i, gates[i], gate_matrix, shifted))
+                tail[i - f] = _gate_call(i, gates[i], gate_matrix, shifted)
             state = clone_state(prefix, counters)
             _forward(state, gates[f:], tail, plans[f:], counters)
             plus_minus.append(expectation(state, obs, counters))

@@ -31,11 +31,12 @@ observable whose diagonals would exceed ``_DIAGONAL_BUDGET_BYTES``.
 ``expectation`` allocates no output state. Above the cut it sums
 vdot(psi, D_x * psi[k xor x]) group by group, and each term with ``H``
 adds coeff * vdot(psi, term psi), every product formed in one scratch
-state. Below the cut the operator's Hermiticity is decided once, when the
-plan is built, by the exact pair test D_x[k xor x] == conj(D_x[k]) on
-every group. If every group passes, the plan keeps a pair table: the real
-diagonal d0 of the x = 0 group and, over the other groups, one entry per
-flip pair k < k xor x with D_x[k] != 0, and the grouped part is
+state. Below the cut the operator's Hermiticity is decided once, on the
+first ``expectation``, by the exact pair test D_x[k xor x] == conj(D_x[k])
+on every group. If every group passes, the observable keeps a pair table
+beside its plan, which no apply builds or reads: the real diagonal d0 of
+the x = 0 group and, over the other groups, one entry per flip pair
+k < k xor x with D_x[k] != 0, and the grouped part is
 vdot(psi, d0 psi) + 2 Re sum conj(psi_k) D_x[k] psi_{k xor x}, which
 reads each pair once and skips the zero entries (all-pairs Heisenberg at
 N=10: 11,520 entries instead of 46 * 1024). Otherwise it is the ``vdot``
@@ -123,14 +124,11 @@ class _Plan(tuple):
     diagonals view. ``index`` is the read-only intp table
     index[g, k] = k xor mask_g for a state of at most
     ``statevector._GATHER_MAX_AMPS`` amplitudes, and None above it.
-    ``pairs``, with ``index`` and only when every group passes the exact
-    pair test D_x[k xor x] == conj(D_x[k]), is the groups' ``_Pairs``
-    table, and None otherwise.
     """
 
-    def __new__(cls, groups, with_h, diagonals, index, pairs):
+    def __new__(cls, groups, with_h, diagonals, index):
         plan = super().__new__(cls, (groups, with_h))
-        plan.diagonals, plan.index, plan.pairs = diagonals, index, pairs
+        plan.diagonals, plan.index = diagonals, index
         return plan
 
 
@@ -229,16 +227,26 @@ class Observable:
         for mask, row in zip(by_mask, diagonals):
             shape, flip = _flip_view(mask)
             groups.append(_FlipGroup(shape, flip, row.reshape(shape)))
-        index = pairs = None
+        index = None
         if (1 << n) <= statevector._GATHER_MAX_AMPS:
             masks = [sum(1 << q for q, flips in enumerate(mask) if flips) for mask in by_mask]
             index = np.arange(1 << n, dtype=np.intp) ^ np.array(masks, dtype=np.intp)[:, None]
             index.flags.writeable = False
-            # exact symmetry, not the Hermiticity tolerance: a nearly Hermitian
-            # observable keeps its complex expectation
-            if groups and all(_pair_residual(gr.diagonal, gr.flip) == 0 for gr in groups):
-                pairs = _pair_table(diagonals, index)
-        return _Plan(tuple(groups), with_h, diagonals, index, pairs)
+        return _Plan(tuple(groups), with_h, diagonals, index)
+
+    @cached_property
+    def _pairs(self) -> _Pairs | None:
+        """The plan's groups as a pair table, for ``expectation`` alone: None
+        above the gather cut, without groups, or unless every group passes
+        the exact pair test D_x[k xor x] == conj(D_x[k])."""
+        plan = self._apply_plan
+        groups = plan[0]
+        # exact symmetry, not the Hermiticity tolerance: a nearly Hermitian
+        # observable keeps its complex expectation
+        if plan.index is not None and groups:
+            if all(_pair_residual(gr.diagonal, gr.flip) == 0 for gr in groups):
+                return _pair_table(plan.diagonals, plan.index)
+        return None
 
 
 def _by_mask(terms) -> dict[tuple[bool, ...], list[tuple[complex, str]]]:
@@ -375,10 +383,11 @@ def expectation(state: StateVector, obs: Observable, counters=None) -> complex:
     ``statevector._GATHER_MAX_AMPS`` amplitudes whose groups are exactly
     Hermitian, the mask groups give the real
     vdot(psi, d0 * psi).real + 2 Re vdot(psi[rows], vals * psi[cols]) from
-    the plan's pair table, which reads each flip pair once; otherwise, at
-    that size, the ``vdot`` of the state with the gathered sum of every
-    group, and above it sum_x vdot(state, D_x * state[k xor x]), one
-    product into a scratch state per group. Each term with ``H``, and every
+    the observable's pair table, built on the first call, which reads each
+    flip pair once; otherwise, at that size, the ``vdot`` of the state with
+    the gathered sum of every group, and above it
+    sum_x vdot(state, D_x * state[k xor x]), one product into a scratch
+    state per group. Each term with ``H``, and every
     term past ``_DIAGONAL_BUDGET_BYTES``, adds coeff * vdot(state, term
     |state>), the term applied in that one scratch state. Either way it
     counts one operator application and one inner product.
@@ -390,8 +399,9 @@ def expectation(state: StateVector, obs: Observable, counters=None) -> complex:
     # one scratch state, for the groups above the cut and for each term with H
     scratch = np.empty_like(amplitudes) if with_h or plan.index is None else None
     total = 0j
-    if plan.pairs is not None:
-        d0, rows, cols, vals = plan.pairs
+    pairs = obs._pairs
+    if pairs is not None:
+        d0, rows, cols, vals = pairs
         flipped = amplitudes[cols]
         np.multiply(vals, flipped, out=flipped)
         paired = np.vdot(amplitudes[rows], flipped).real

@@ -99,11 +99,14 @@ def _count_checks(rng: np.random.Generator) -> list[CheckResult]:
         ref = reference_gradient(circuit, theta, obs, input_state).counters
         expect = {
             f"op-counts/reverse/P={p}/gate_applies": (rev.gate_applies, 3 * p - 1),
+            f"op-counts/reverse/P={p}/derivative_applies": (rev.derivative_applies, p),
             f"op-counts/reverse/P={p}/clones": (rev.clones, p + 2),
             f"op-counts/reverse/P={p}/inner_products": (rev.inner_products, p),
             f"op-counts/reverse/P={p}/observable_applies": (rev.observable_applies, 1),
             f"op-counts/reference/P={p}/gate_applies": (ref.gate_applies, p * p),
+            f"op-counts/reference/P={p}/derivative_applies": (ref.derivative_applies, p),
             f"op-counts/reference/P={p}/clones": (ref.clones, p + 1),
+            f"op-counts/reference/P={p}/inner_products": (ref.inner_products, p),
         }
         for name, (got, want) in expect.items():
             if got == want:

@@ -25,7 +25,7 @@ target t:
   real form of the block ``m kron I``;
 * with no control below the target, whatever lies above it:
   ``np.matmul(m, view)`` on the (..., 2, 2^t) view, from a run of 16 for a
-  real matrix (H, Ry), as ``m.real`` on the float64 view, which mixes real
+  float64 matrix (H, Ry), on the float64 view, which mixes real
   and imaginary parts alike, and from a run of 128 for a complex one (Rx
   and its derivative);
 * anything else (complex matrices at runs of 16 to 64, a control below
@@ -48,11 +48,11 @@ index table: the read, the product and the write back then walk
 contiguous memory, which a strided view of the index range would not. A
 float64 matrix means a real product: the gathered block, read as float64
 pairs, is multiplied by the real matrix, which mixes real and imaginary
-parts alike, in place of a complex product. The kernel reads realness
-from the dtype alone, so binding (``real_if_exact``) decides it once per
-matrix; a per-call test of the entries would cost most of a small apply.
-The view kernel tests a matrix's entries instead, as it always has, so a
-complex-typed real matrix, such as ``gates.H``, takes its real paths too.
+parts alike, in place of a complex product. Both kernels read realness
+from the dtype alone; ``real_if_exact`` decides it once per matrix, at
+binding or in ``apply_matrix``'s checks, so a complex-typed real matrix
+such as ``gates.H`` takes the real paths too. A per-call test of the
+entries would cost most of a small apply.
 
 Each placement (qubit count, targets, controls) is validated once. Its
 plan sits in a bounded, read-only cache: the gather kernel's index table
@@ -278,8 +278,8 @@ def real_if_exact(m: np.ndarray) -> np.ndarray:
     """A C-contiguous float64 copy of ``m.real`` when ``m`` has no imaginary
     part, else ``m`` itself.
 
-    Binding calls this once per matrix or stack, so the gather kernel reads
-    realness from the dtype and takes a real product. The strided view
+    Binding and ``apply_matrix``'s checks call this once per matrix or
+    stack, so the kernels read realness from the dtype. The strided view
     ``m.real`` would take numpy's slow non-BLAS product.
     """
     return m if m.imag.any() else np.ascontiguousarray(m.real)
@@ -302,18 +302,19 @@ def apply_matrix(
 
     Without ``plan``, the placement, the matrix shape and the finiteness
     of its entries are checked; a float64 ``m`` is kept, any other is cast
-    to complex. ``plan``, when given, must be
+    to complex, and kept as float64 when exactly real (``real_if_exact``).
+    ``plan``, when given, must be
     ``_placement(state.num_qubits, targets, controls)``, with ``targets``
     and ``controls`` tuples and ``m`` a finite complex or float64 2^k x 2^k
     array: the call then checks nothing and runs the kernel body alone. A
-    float64 ``m`` takes a real product on the gather kernel.
+    float64 ``m`` takes the real paths of either kernel.
     """
     if plan is None:
         targets, controls = tuple(targets), tuple(controls)
         plan = _placement(state.num_qubits, targets, controls)
         m = np.asarray(m)
         if m.dtype != np.float64:
-            m = m.astype(complex, copy=False)
+            m = real_if_exact(m.astype(complex, copy=False))
         dim = 1 << len(targets)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not act on {len(targets)} targets")
@@ -367,14 +368,11 @@ def _apply_single(view: np.ndarray, m: np.ndarray, t: int, p: int, controls: tup
             high[...] = new_high
     elif tail and run <= _REAL_ROWS_MAX_RUN:
         _apply_real_rows(view, m, run, p)
-    elif tail and run >= (_MATMUL_MIN_RUN if m.imag.any() else _REAL_MATMUL_MIN_RUN):
+    elif tail and run >= (_REAL_MATMUL_MIN_RUN if m.dtype == np.float64 else _MATMUL_MIN_RUN):
         # a real matrix mixes the halves' real and imaginary parts alike, so it
         # multiplies the float64 view
-        real = not m.imag.any()
-        if real:
-            m = np.ascontiguousarray(m.real)
         for part in _chunks(view, (p,)):
-            if real:
+            if m.dtype == np.float64:
                 part = part.view(np.float64)
             part[...] = np.matmul(m, part)
     else:

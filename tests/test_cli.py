@@ -280,6 +280,23 @@ def test_bench_unwritable_output(tmp_path, capsys):
     assert code == 4
 
 
+def test_bench_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_benchmark", exhausted)
+    out = tmp_path / "x.csv"
+    argv = ["bench", "--family", "A", "--qubits", "26", "--reps", "1", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_MEMORY == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory: a reverse,reference benchmark on 26 qubits holds up to 4 states "
+        "of 16*2^26 = 1073741824 bytes, 4294967296 bytes in all\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag,value,message",
     [
@@ -305,6 +322,11 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "oracle-triangle" in out
     assert "FAIL" not in out
+    # the whole op-count contract, derivative applies included
+    for p in (12, 40):
+        for check in ("reverse/P={}/derivative_applies", "reference/P={}/derivative_applies",
+                      "reference/P={}/inner_products"):
+            assert f"ok   op-counts/{check.format(p)}\n" in out
 
 
 def test_selftest_negative_control(capsys):

@@ -400,21 +400,30 @@ def test_small_anti_hermitian_part_is_not_hermitian():
 
 
 def test_non_hermitian_binds_once(monkeypatch):
-    """Both sweeps share one binding, so each user matrix function runs once."""
+    """Both sweeps share one binding, so each user matrix function runs once,
+    and so does ``rewind_matrix``, once per Phase, CustomParametric or
+    NonUnitary gate: the binding forms the ket's rewinds, the sweeps none."""
     circuit = _mixed_circuit()
     params = np.random.default_rng(55).uniform(-np.pi, np.pi, circuit.num_params)
     obs = Observable(3, ((0.5 + 0.25j, "Z+I"), (-1.25, "YIZ")))
     state = random_state(3, np.random.default_rng(56))
-    binds = []
+    binds, rewound = [], []
     bind = gradients_module._bind
 
     def counting_bind(*args, **kwargs):
         binds.append(kwargs)
         return bind(*args, **kwargs)
 
+    def counting_rewind(gate, m, *args):
+        rewound.append(gate)
+        return rewind_matrix(gate, m, *args)
+
     monkeypatch.setattr(gradients_module, "_bind", counting_bind)
+    monkeypatch.setattr(gradients_module, "rewind_matrix", counting_rewind)
     report = non_hermitian_gradient(circuit, params, obs, state)
     assert binds == [{"gradient": True}]
+    per_gate = [gate for gate in circuit.gates if isinstance(gate.kind, (Phase, CustomParametric))]
+    assert len(per_gate) == 3 and rewound == per_gate
     fd = finite_difference_gradient(circuit, params, obs, state)
     assert np.abs(report.values - fd.values).max() <= 1e-7
 
@@ -883,6 +892,7 @@ def test_plan_matches_the_per_gate_api(kernel):
     bound = gradients_module._bind(circuit, params, gradient=True)
     matrices_only = gradients_module._bind(circuit, params)
     assert matrices_only.derivatives is None and matrices_only.adjoints is None
+    assert matrices_only.rewinds is None
     axes_seen = set()
     for i, gate in enumerate(circuit.gates):
         m = gate_matrix(gate, params)
@@ -892,6 +902,10 @@ def test_plan_matches_the_per_gate_api(kernel):
         np.testing.assert_array_equal(bound.adjoints[i], bound.matrices[i].conj().T)
         rewind = rewind_matrix(gate, bound.matrices[i])
         np.testing.assert_allclose(rewind, rewind_matrix(gate, m), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(bound.rewinds[i], rewind)
+        if isinstance(gate.kind, NonUnitary):
+            # diag(1, 2) Ry is real, and so are its inverse and derivative
+            assert bound.rewinds[i].dtype == bound.derivatives[i][0].dtype == np.float64
         bound_one_by_one = isinstance(gate.kind, (Phase, CustomParametric))
         assert (i in circuit._layout.per_gate) == bound_one_by_one
         np.testing.assert_array_equal(matrices_only.matrices[i], bound.matrices[i])
@@ -928,26 +942,29 @@ def test_plan_derivative_matches_per_gate_derivative(kernel):
 
 
 def test_bind_keeps_exactly_real_matrices_float64():
-    """Ry, a Pauli string with an odd number of Y, and the fixed x, h and z
-    bind as float64, derivatives and adjoints included, so the gather kernel
-    takes a real product; every other matrix stays complex. Realness is
-    decided per Pauli-string stack: the one Rx, at angle 0, is the identity,
-    but its derivative -i/2 X is not real."""
+    """Ry, a Pauli string with an odd number of Y, the fixed x, h and z and a
+    real NonUnitary gate bind as float64, derivatives, adjoints and rewinds
+    included, so the kernels take their real paths; every other matrix stays
+    complex. Realness is decided per Pauli-string stack: the one Rx, at
+    angle 0, is the identity, but its derivative -i/2 X is not real."""
     gates = (
         ry(0, 0), cry(1, 0, 1), rp("XY", (0, 1), 2), rp("YY", (1, 2), 3), rz(2, 4), rz(0, 5),
         rx(1, 6), cx(0, 1), fixed("h", 2), fixed("z", 0), fixed("y", 1), phase_gate(0, 0),
+        Gate(NonUnitary(_scaled_ry, 1), (2,), (0,), (1,)),
     )
     circuit = Circuit(3, gates, 7)
     params = np.array([0.3, -1.2, 0.8, 2.1, 0.4, -0.6, 0.0])
     bound = gradients_module._bind(circuit, params, gradient=True)
-    real_matrices = {0, 1, 2, 6, 7, 8, 9}
-    real_derivatives = {0, 1, 2}
+    real_matrices = {0, 1, 2, 6, 7, 8, 9, 12}
+    real_derivatives = {0, 1, 2, 12}
     for i, gate in enumerate(gates):
         want = np.float64 if i in real_matrices else np.complex128
         assert bound.matrices[i].dtype == want, i
         assert bound.adjoints[i].dtype == want, i
+        assert bound.rewinds[i].dtype == want, i
         np.testing.assert_array_equal(bound.matrices[i], gate_matrix(gate, params))
         np.testing.assert_array_equal(bound.adjoints[i], bound.matrices[i].conj().T)
+        np.testing.assert_array_equal(bound.rewinds[i], rewind_matrix(gate, bound.matrices[i]))
         for derivative in bound.derivatives[i]:
             want = np.float64 if i in real_derivatives else np.complex128
             assert derivative.dtype == want, i

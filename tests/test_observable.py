@@ -458,18 +458,18 @@ def _assert_pairs_match_full_gather(obs, rng):
     Observable(4, ((1.0, "XIYI"), (-1.0, "XIYI"), (0.25, "YYII"), (2.0, "IIIZ"))),
 ], ids=["z_all", "plus-minus", "zero-group"])
 def test_pair_expectation_matches_full_gather(obs):
-    plan = obs._apply_plan
-    assert plan.pairs is not None
-    d0, rows, cols, vals = plan.pairs
+    pairs = obs._pairs
+    assert pairs is not None
+    d0, rows, cols, vals = pairs
     assert d0.dtype == np.float64 and np.all(rows < cols) and np.all(vals != 0)
-    for table in plan.pairs:
+    for table in pairs:
         assert not table.flags.writeable
     _assert_pairs_match_full_gather(obs, np.random.default_rng(91))
 
 
 def test_heisenberg_pair_table_reads_each_nonzero_flip_pair_once():
     obs = _heisenberg(10, np.random.default_rng(92))
-    d0, rows, cols, vals = obs._apply_plan.pairs
+    d0, rows, cols, vals = obs._pairs
     # XX + YY is zero where the pair's two bits agree: 256 of 512 pairs per mask
     assert len(rows) == len(cols) == len(vals) == 45 * 256
     masks = np.unique(rows ^ cols)  # one two-bit mask per coupled pair of qubits
@@ -483,13 +483,36 @@ def test_heisenberg_pair_table_reads_each_nonzero_flip_pair_once():
     Observable(2, ((1.0, "+I"), (0.5, "ZZ"))),
 ], ids=["rounding-broken", "non-hermitian"])
 def test_inexact_pairs_keep_the_full_gather(obs):
-    assert obs._apply_plan.pairs is None
+    assert obs._pairs is None
     state = random_state(2, np.random.default_rng(94))
     assert expectation(state, obs) == _gathered_expectation(state, obs)
 
 
 def test_pairs_only_below_the_gather_cut():
-    assert builtin_observable("z_all", 13)._apply_plan.pairs is None
+    assert builtin_observable("z_all", 13)._pairs is None
+
+
+def test_pair_table_is_built_by_the_first_expectation_only(monkeypatch):
+    """Applying an observable, as every gradient sweep does, builds no pair
+    table; the first ``expectation`` builds it, once, and keeps the values
+    of a table built up front."""
+    built = []
+
+    def counting_pair_table(*args):
+        built.append(1)
+        return pair_table(*args)
+
+    pair_table = observable_module._pair_table
+    monkeypatch.setattr(observable_module, "_pair_table", counting_pair_table)
+    obs, twin = (_heisenberg(8, np.random.default_rng(95)) for _ in range(2))
+    state = random_state(8, np.random.default_rng(96))
+    apply_observable(state, obs)
+    assert "_pairs" not in vars(obs) and built == []
+    twin_pairs = twin._pairs  # built before any expectation
+    values = [expectation(state, obs) for _ in range(2)]
+    assert built == [1, 1] and values[0] == values[1] == expectation(state, twin)
+    for table, twin_table in zip(obs._pairs, twin_pairs):
+        np.testing.assert_array_equal(table, twin_table)
 
 
 def test_expectation_size_mismatch():

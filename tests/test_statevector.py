@@ -516,6 +516,29 @@ def test_large_state_paths_match_einsum_oracle(num_qubits, kind, targets, contro
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [0, 4, 12])
+def test_complex_typed_real_matrix_takes_the_real_paths_without_a_plan(t, monkeypatch):
+    """``apply_matrix``'s checks keep ``gates.H`` as float64, as binding
+    would, so a caller without a plan, such as an observable's ``H``
+    letters, reaches the view kernel's real paths: the realified rows at
+    t=0 and the real matmul at t=4 and t=12."""
+    seen = []
+    single = sv._apply_single
+
+    def recorder(view, m, *args):
+        seen.append(m.dtype)
+        return single(view, m, *args)
+
+    monkeypatch.setattr(sv, "_apply_single", recorder)
+    rng = np.random.default_rng([72, t])
+    amps = rng.normal(size=1 << 13) + 1j * rng.normal(size=1 << 13)
+    state = StateVector(13, amps.copy())
+    apply_matrix(state, H, (t,))
+    assert H.dtype == np.complex128 and seen == [np.float64]
+    expected = _einsum_oracle(amps, 13, H, (t,), ())
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
 def _check_chunks(view: np.ndarray, keep: tuple[int, ...]) -> None:
     """``view`` is int64 zeros: the pieces must write each element exactly once,
     keep every axis and the kept ones whole, and hold at most ``_CHUNK_AMPS``
