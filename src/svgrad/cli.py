@@ -33,10 +33,16 @@ EXIT_MEMORY = 5
 
 
 def _load_observable(spec: str, num_qubits: int) -> Observable:
+    """The builtin or the file's observable, refused unless it acts on
+    ``num_qubits`` qubits: before anything reads ``is_hermitian``, which may
+    expand a group diagonal of 2^N entries."""
     if spec in BUILTIN_OBSERVABLES:
         return builtin_observable(spec, num_qubits)
     with open(spec, encoding="utf-8") as fh:
-        return parse_observable(fh.read())
+        obs = parse_observable(fh.read())
+    if obs.num_qubits != num_qubits:
+        raise ValueError(f"observable acts on {obs.num_qubits} qubits, circuit on {num_qubits}")
+    return obs
 
 
 def _load_params(spec: str) -> np.ndarray:

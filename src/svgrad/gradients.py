@@ -110,11 +110,6 @@ class LiveStateAudit:
 def _check_call(
     circuit: Circuit, params, obs: Observable, input_state: StateVector, hermitian: bool = False
 ) -> np.ndarray:
-    if hermitian and not obs.is_hermitian:
-        raise ValueError(
-            "observable is not Hermitian, which this method needs; non_hermitian_gradient "
-            "(`svgrad grad --method reverse`) handles complex expectations"
-        )
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.num_params,):
         raise ValueError(
@@ -133,6 +128,12 @@ def _check_call(
         raise ValueError(
             f"input state has {input_state.num_qubits} qubits, circuit {circuit.num_qubits}"
         )
+    # after the sizes: deciding Hermiticity may expand a group diagonal of 2^N entries
+    if hermitian and not obs.is_hermitian:
+        raise ValueError(
+            "observable is not Hermitian, which this method needs; non_hermitian_gradient "
+            "(`svgrad grad --method reverse`) handles complex expectations"
+        )
     return params
 
 
@@ -142,7 +143,7 @@ class _Binding(NamedTuple):
     matrices: list
     derivatives: list | None  # dU/dtheta, one matrix per local parameter; when asked for
     adjoints: list | None  # the conjugate transposes, when asked for
-    rewinds: list | None  # the ket's undo: the adjoint, or a NonUnitary gate's inverse
+    rewinds: list | None  # the ket's undo, from ``_with_rewinds``
 
 
 def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Binding:
@@ -153,14 +154,14 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
     placement plans. The rotations of one Pauli string are bound by one
     vectorised closed form. With ``gradient``, for the reverse and reference
     schedules, their derivatives alpha*i*(U @ P) come from one batched
-    product and their adjoints, also their rewinds, from one conjugate
-    transpose; without it, as for finite differences, only the matrices are
-    formed. Only Phase, CustomParametric and NonUnitary gates go through
-    ``gate_matrix``, ``gate_derivative`` and ``rewind_matrix`` one by one;
-    a ValueError there names the gate. Every matrix with no imaginary part
-    is kept float64 (``real_if_exact``), a rotation stack (Ry, or a Pauli
-    string with an odd number of Y) and its derivatives as a whole, so the
-    kernels take their real paths.
+    product and their adjoints from one conjugate transpose; without it, as
+    for finite differences, only the matrices are formed. Only Phase,
+    CustomParametric and NonUnitary gates go through ``gate_matrix`` and
+    ``gate_derivative`` one by one; a ValueError there names the gate.
+    Every matrix with no imaginary part is kept float64 (``real_if_exact``),
+    a rotation stack (Ry, or a Pauli string with an odd number of Y) and its
+    derivatives as a whole, so the kernels take their real paths. The
+    rewinds are left to ``_with_rewinds``.
     """
     layout = circuit._layout
     matrices = list(layout.fixed)
@@ -176,7 +177,6 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
             products = real_if_exact(products)
             for i, d, a in zip(group.gates, products, stack.conj().transpose(0, 2, 1)):
                 derivatives[i], adjoints[i] = (d,), a
-    rewinds = list(adjoints) if gradient else None
     for i in layout.per_gate:
         gate = circuit.gates[i]
         matrices[i] = _gate_call(i, gate, gate_matrix, params)
@@ -185,8 +185,18 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
                 _gate_call(i, gate, gate_derivative, params, j) for j in range(gate.kind.arity)
             )
             adjoints[i] = matrices[i].conj().T
-            rewinds[i] = real_if_exact(rewind_matrix(gate, matrices[i], i))
-    return _Binding(matrices, derivatives, adjoints, rewinds)
+    return _Binding(matrices, derivatives, adjoints, None)
+
+
+def _with_rewinds(circuit: Circuit, binding: _Binding) -> _Binding:
+    """``binding`` with the ket's undo matrices, for the reverse sweep: the
+    adjoints, but a NonUnitary gate's true inverse, whose singular matrix
+    raises NonInvertibleGateError. The quadratic schedule undoes no gate and
+    so binds without them."""
+    rewinds = list(binding.adjoints)
+    for i in circuit._layout.per_gate:
+        rewinds[i] = real_if_exact(rewind_matrix(circuit.gates[i], binding.matrices[i], i))
+    return binding._replace(rewinds=rewinds)
 
 
 def _gate_call(i: int, gate, fn, *args):
@@ -215,8 +225,9 @@ def _reverse_sweep(
 ) -> tuple[np.ndarray, complex]:
     """Backward-sweep accumulation of <bra|probe> per parameter.
 
-    ``binding`` is ``_bind(circuit, params, gradient=True)``, whose adjoints
-    undo the bra and rewinds the ket: two sweeps bind once and form no matrix.
+    ``binding`` is ``_with_rewinds`` of ``_bind(circuit, params, gradient=True)``,
+    whose adjoints undo the bra and rewinds the ket: two sweeps bind once and
+    form no matrix.
     Returns the complex per-parameter sums and the expectation at theta.
     Callers turn the sums into gradients (2 Re for a Hermitian operator).
     """
@@ -279,7 +290,7 @@ def reverse_mode_gradient(
     """
     params = _check_call(circuit, params, obs, input_state, hermitian=True)
     counters = OpCounters()
-    binding = _bind(circuit, params, gradient=True)
+    binding = _with_rewinds(circuit, _bind(circuit, params, gradient=True))
     sums, energy = _reverse_sweep(
         circuit, params, obs, input_state, binding, counters, audit or LiveStateAudit()
     )
@@ -333,7 +344,7 @@ def non_hermitian_gradient(
     params = _check_call(circuit, params, obs, input_state)
     counters = OpCounters()
     audit = LiveStateAudit()
-    binding = _bind(circuit, params, gradient=True)
+    binding = _with_rewinds(circuit, _bind(circuit, params, gradient=True))
     sums_a, energy = _reverse_sweep(circuit, params, obs, input_state, binding, counters, audit)
     sums_adj, _ = _reverse_sweep(
         circuit, params, adjoint_observable(obs), input_state, binding, counters, audit

@@ -15,43 +15,42 @@ share a flip mask sum into one diagonal D_x, and
 O psi = sum_x D_x * psi[k xor x]. This is the X/Z bitmask form of Pauli
 strings that Qiskit's ``SparsePauliOp`` and qulacs use. Each observable
 builds its plan on its first apply and keeps it, read-only: the groups,
-their diagonals as the rows of one (groups, 2^N) stack, and per group the
-view shape and reversing index under which psi[k xor x] is a reversed
-view of the amplitudes (one basic index), never a copy.
+their diagonals as the rows of one (groups, 2^N) stack, each group's flip
+mask, and per group the view shape and reversing index under which
+psi[k xor x] is a reversed view of the amplitudes (one basic index), never
+a copy.
 
-Two ways to sum the groups, split at the gate kernel's own cut,
-``statevector._GATHER_MAX_AMPS`` (2^12 amplitudes), for the same reason:
-below it numpy dispatch sets the cost. There the plan also keeps the
-table index[x, k] = k xor x, and the grouped part is one gather,
-(D * psi[index]).sum(0). Above it each group costs one multiply and
-one add on its reversed view. Terms with ``H`` take one ``apply_matrix``
-call per non-identity letter instead, and so does every term of an
-observable whose diagonals would exceed ``_DIAGONAL_BUDGET_BYTES``.
+One group form at every size: each group costs one multiply into a
+scratch state and one add, on its reversed view. Terms with ``H`` take one
+``apply_matrix`` call per non-identity letter instead, and so does every
+term of an observable whose diagonals would exceed
+``_DIAGONAL_BUDGET_BYTES``.
 
-``expectation`` allocates no output state. Above the cut it sums
-vdot(psi, D_x * psi[k xor x]) group by group, and each term with ``H``
-adds coeff * vdot(psi, term psi), every product formed in one scratch
-state. Below the cut the operator's Hermiticity is decided once, on the
-first ``expectation``, by the exact pair test D_x[k xor x] == conj(D_x[k])
-on every group. If every group passes, the observable keeps a pair table
-beside its plan, which no apply builds or reads: the real diagonal d0 of
-the x = 0 group and, over the other groups, one entry per flip pair
+``expectation`` allocates no output state. It sums vdot(psi, D_x *
+psi[k xor x]) group by group, and each term with ``H`` adds coeff *
+vdot(psi, term psi), every product formed in one scratch state. At the
+gate kernel's cut, ``statevector._GATHER_MAX_AMPS`` (2^12 amplitudes), or
+below, where numpy dispatch sets the cost, the operator's Hermiticity is
+decided once, on the first ``expectation``, by the exact pair test
+D_x[k xor x] == conj(D_x[k]) on every group. If every group passes, the
+observable keeps a pair table beside its plan, built from the stack and
+the masks, which no apply builds or reads: the real diagonal d0 of the
+x = 0 group and, over the other groups, one entry per flip pair
 k < k xor x with D_x[k] != 0, and the grouped part is
 vdot(psi, d0 psi) + 2 Re sum conj(psi_k) D_x[k] psi_{k xor x}, which
 reads each pair once and skips the zero entries (all-pairs Heisenberg at
-N=10: 11,520 entries instead of 46 * 1024). Otherwise it is the ``vdot``
-of psi with the gathered sum. The test is exact, not the Hermiticity
-tolerance, so a nearly Hermitian observable keeps its complex value.
+N=10: 11,520 entries instead of 46 * 1024). The test is exact, not the
+Hermiticity tolerance, so a nearly Hermitian observable keeps its complex
+value and the group loop.
 
-The diagonals stay within the budget at every size; the index table adds
-8 bytes per amplitude per group, only at 2^12 amplitudes or fewer, the
-pair table 8 bytes per amplitude for d0 and 32 per kept pair (two intp
-indices and a complex value; 368 KB for that Heisenberg operator), and
-the gather a (groups, 2^N) complex temporary per call. A finite sum of
-the coefficients' absolute values, which the constructor checks, bounds
-every diagonal entry. The adjoint observable
-is cached on the observable too, with its own plan, so an observable whose
-adjoint has been applied keeps a second plan of up to that budget.
+The diagonals stay within the budget at every size; the pair table takes
+8 bytes per amplitude for d0 and 32 per kept pair (two intp indices and a
+complex value; 368 KB for that Heisenberg operator). An apply holds its
+result and one scratch state. A finite sum of the coefficients' absolute
+values, which the constructor checks, bounds every diagonal entry. The
+adjoint observable is cached on the observable too, with its own plan, so
+an observable whose adjoint has been applied keeps a second plan of up to
+that budget.
 """
 from __future__ import annotations
 
@@ -65,7 +64,7 @@ import numpy as np
 
 from . import gates as g
 from . import statevector
-from .statevector import StateVector, apply_matrix, inner_product
+from .statevector import StateVector, apply_matrix, check_num_qubits, inner_product
 
 FACTORS = {
     "I": g.I2,
@@ -117,19 +116,13 @@ class _Pairs(NamedTuple):
     vals: np.ndarray  # complex, D_x[k]
 
 
-class _Plan(tuple):
-    """``(groups, with_h)``: the mask groups and the terms applied one by one.
+class _Plan(NamedTuple):
+    """The mask groups, summed on reversed views, and the terms applied one by one."""
 
-    ``diagonals`` is the read-only (groups, 2^N) stack that the groups'
-    diagonals view. ``index`` is the read-only intp table
-    index[g, k] = k xor mask_g for a state of at most
-    ``statevector._GATHER_MAX_AMPS`` amplitudes, and None above it.
-    """
-
-    def __new__(cls, groups, with_h, diagonals, index):
-        plan = super().__new__(cls, (groups, with_h))
-        plan.diagonals, plan.index = diagonals, index
-        return plan
+    groups: tuple[_FlipGroup, ...]
+    with_h: tuple[tuple[complex, str], ...]  # with H, or every term past the budget
+    diagonals: np.ndarray  # read-only (groups, 2^N) stack that the groups' diagonals view
+    masks: tuple[int, ...]  # each group's flip mask x, bit q for qubit q
 
 
 def _check_term(num_qubits: int, coeff: complex, factors: str) -> None:
@@ -156,6 +149,7 @@ class Observable:
     terms: tuple[tuple[complex, str], ...]
 
     def __post_init__(self):
+        check_num_qubits(self.num_qubits)
         object.__setattr__(
             self, "terms", tuple((complex(c), f) for c, f in self.terms)
         )
@@ -227,12 +221,8 @@ class Observable:
         for mask, row in zip(by_mask, diagonals):
             shape, flip = _flip_view(mask)
             groups.append(_FlipGroup(shape, flip, row.reshape(shape)))
-        index = None
-        if (1 << n) <= statevector._GATHER_MAX_AMPS:
-            masks = [sum(1 << q for q, flips in enumerate(mask) if flips) for mask in by_mask]
-            index = np.arange(1 << n, dtype=np.intp) ^ np.array(masks, dtype=np.intp)[:, None]
-            index.flags.writeable = False
-        return _Plan(tuple(groups), with_h, diagonals, index)
+        masks = tuple(sum(1 << q for q, flips in enumerate(mask) if flips) for mask in by_mask)
+        return _Plan(tuple(groups), with_h, diagonals, masks)
 
     @cached_property
     def _pairs(self) -> _Pairs | None:
@@ -240,12 +230,11 @@ class Observable:
         above the gather cut, without groups, or unless every group passes
         the exact pair test D_x[k xor x] == conj(D_x[k])."""
         plan = self._apply_plan
-        groups = plan[0]
         # exact symmetry, not the Hermiticity tolerance: a nearly Hermitian
         # observable keeps its complex expectation
-        if plan.index is not None and groups:
-            if all(_pair_residual(gr.diagonal, gr.flip) == 0 for gr in groups):
-                return _pair_table(plan.diagonals, plan.index)
+        if plan.groups and (1 << self.num_qubits) <= statevector._GATHER_MAX_AMPS:
+            if all(_pair_residual(gr.diagonal, gr.flip) == 0 for gr in plan.groups):
+                return _pair_table(plan.diagonals, plan.masks)
         return None
 
 
@@ -274,7 +263,7 @@ def _pair_residual(diagonal: np.ndarray, flip: tuple[slice, ...]) -> float:
     return float(np.abs(diagonal[flip] - diagonal.conj()).max())
 
 
-def _pair_table(diagonals: np.ndarray, index: np.ndarray) -> _Pairs:
+def _pair_table(diagonals: np.ndarray, masks: tuple[int, ...]) -> _Pairs:
     """The read-only pair table of exactly Hermitian groups, without per-group temporaries.
 
     ``d0`` is the real diagonal of the group with mask 0 (zero without one).
@@ -283,10 +272,12 @@ def _pair_table(diagonals: np.ndarray, index: np.ndarray) -> _Pairs:
     conjugate, so the pair adds 2 Re(conj(psi_k) D_x[k] psi_{k xor x}).
     """
     dim = diagonals.shape[1]
-    d0 = diagonals[index[:, 0] == 0].real.sum(0)  # index[g, 0] is group g's mask
+    masks = np.array(masks, dtype=np.intp)
+    d0 = diagonals[masks == 0].real.sum(0)
+    flipped = np.arange(dim) ^ masks[:, None]  # flipped[g, k] = k xor mask_g
     # k < k xor x holds for one k of each pair, and for none when x = 0
-    kept = np.flatnonzero((np.arange(dim) < index) & (diagonals != 0))
-    pairs = _Pairs(d0, kept & (dim - 1), index.reshape(-1)[kept], diagonals.reshape(-1)[kept])
+    kept = np.flatnonzero((np.arange(dim) < flipped) & (diagonals != 0))
+    pairs = _Pairs(d0, kept & (dim - 1), flipped.reshape(-1)[kept], diagonals.reshape(-1)[kept])
     for table in pairs:
         table.flags.writeable = False
     return pairs
@@ -310,13 +301,6 @@ def _add_group_diagonal(diagonal: np.ndarray, terms) -> None:
         diagonal += product
 
 
-def _gathered(amplitudes: np.ndarray, plan: _Plan) -> np.ndarray:
-    """sum_g D_g * psi[k xor mask_g] as a fresh array, by one gather through ``plan.index``."""
-    products = amplitudes[plan.index]
-    np.multiply(plan.diagonals, products, out=products)
-    return products.sum(0)
-
-
 def _check_size(state: StateVector, obs: Observable) -> None:
     if state.num_qubits != obs.num_qubits:
         raise ValueError(
@@ -324,44 +308,51 @@ def _check_size(state: StateVector, obs: Observable) -> None:
         )
 
 
+def _parts(state: StateVector, groups, with_h, part: StateVector):
+    """Form each part of O|state> = sum coeff * part over ``groups`` and
+    ``with_h`` in the scratch state ``part`` in turn, yielding its coeff.
+
+    A mask group's part is D_x * state[k xor x], one multiply on its
+    reversed view, with coefficient 1; a term's part is the state with the
+    term's non-identity single-qubit factors applied.
+    """
+    amplitudes = state.amplitudes
+    for group in groups:
+        flipped = amplitudes.reshape(group.shape)[group.flip]
+        np.multiply(group.diagonal, flipped, out=part.amplitudes.reshape(group.shape))
+        yield 1
+    for coeff, factors in with_h:
+        np.copyto(part.amplitudes, amplitudes)
+        for q, ch in enumerate(factors):
+            if ch != "I":
+                apply_matrix(part, FACTORS[ch], (q,))
+        yield coeff
+
+
 def apply_observable(state: StateVector, obs: Observable, counters=None) -> StateVector:
     """Fresh, generally unnormalised state sum_t coeff_t (factors_t) |state>.
 
     The input is not modified. The H-free terms cost one multiply and one
-    add per flip-mask group, O(groups * 2^N), with the diagonals cached on
-    the observable: one gather of every group at once for a state of at
-    most ``statevector._GATHER_MAX_AMPS`` amplitudes, one reversed view per
-    group above it. Each term with ``H``, and every term of an observable
-    past ``_DIAGONAL_BUDGET_BYTES``, copies the input into the scratch state,
-    applies its non-identity single-qubit factors, scales it by its
-    coefficient in place (skipped for 1) and is added to the sum,
-    O(N * 2^N) per term. Above the cut the apply allocates the result and
-    one scratch state.
+    add per flip-mask group on its reversed view, O(groups * 2^N), with the
+    diagonals cached on the observable. Each term with ``H``, and every
+    term of an observable past ``_DIAGONAL_BUDGET_BYTES``, copies the input
+    into the scratch state, applies its non-identity single-qubit factors,
+    scales it by its coefficient in place (skipped for 1) and is added to
+    the sum, O(N * 2^N) per term. The apply allocates the result and one
+    scratch state.
     """
     _check_size(state, obs)
     plan = obs._apply_plan
-    groups, with_h = plan
-    amplitudes = state.amplitudes
-    buffer = np.empty_like(amplitudes)
-    if plan.index is not None:
-        out = _gathered(amplitudes, plan)
-    else:
-        out = np.zeros_like(amplitudes)
-        for group in groups:
-            flipped = amplitudes.reshape(group.shape)[group.flip]
-            np.multiply(group.diagonal, flipped, out=buffer.reshape(group.shape))
-            out += buffer
-    scratch = StateVector(state.num_qubits, buffer)
-    for coeff, factors in with_h:
-        np.copyto(scratch.amplitudes, amplitudes)
-        for q, ch in enumerate(factors):
-            if ch != "I":
-                apply_matrix(scratch, FACTORS[ch], (q,))
+    # the scratch before the result: in the other order a wide_n20 reverse op
+    # took 40% more page faults, as the sweep's next state reused other memory
+    part = StateVector(state.num_qubits, np.empty_like(state.amplitudes))
+    out = np.zeros_like(state.amplitudes)
+    for coeff in _parts(state, plan.groups, plan.with_h, part):
         if coeff != 1:
             # coefficient first, as in coeff * term: the SIMD loop rounds
             # scalar-times-array and array-times-scalar differently
-            np.multiply(coeff, scratch.amplitudes, out=scratch.amplitudes)
-        out += scratch.amplitudes
+            np.multiply(coeff, part.amplitudes, out=part.amplitudes)
+        out += part.amplitudes
     if counters is not None:
         counters.observable_applies += 1
     return StateVector(state.num_qubits, out)
@@ -384,42 +375,29 @@ def expectation(state: StateVector, obs: Observable, counters=None) -> complex:
     Hermitian, the mask groups give the real
     vdot(psi, d0 * psi).real + 2 Re vdot(psi[rows], vals * psi[cols]) from
     the observable's pair table, built on the first call, which reads each
-    flip pair once; otherwise, at that size, the ``vdot`` of the state with
-    the gathered sum of every group, and above it
-    sum_x vdot(state, D_x * state[k xor x]), one product into a scratch
-    state per group. Each term with ``H``, and every
-    term past ``_DIAGONAL_BUDGET_BYTES``, adds coeff * vdot(state, term
-    |state>), the term applied in that one scratch state. Either way it
-    counts one operator application and one inner product.
+    flip pair once; otherwise sum_x vdot(state, D_x * state[k xor x]), one
+    product on a reversed view per group, as ``apply_observable`` forms it.
+    Each term with ``H``, and every term past ``_DIAGONAL_BUDGET_BYTES``,
+    adds coeff * vdot(state, term |state>). Every product is formed in one
+    scratch state. Either way it counts one operator application and one
+    inner product.
     """
     _check_size(state, obs)
     plan = obs._apply_plan
-    groups, with_h = plan
     amplitudes = state.amplitudes
-    # one scratch state, for the groups above the cut and for each term with H
-    scratch = np.empty_like(amplitudes) if with_h or plan.index is None else None
-    total = 0j
     pairs = obs._pairs
+    total = 0j
     if pairs is not None:
         d0, rows, cols, vals = pairs
         flipped = amplitudes[cols]
         np.multiply(vals, flipped, out=flipped)
         paired = np.vdot(amplitudes[rows], flipped).real
         total = np.vdot(amplitudes, d0 * amplitudes).real + 2.0 * paired
-    elif groups and plan.index is not None:
-        total = np.vdot(amplitudes, _gathered(amplitudes, plan))
-    elif groups:
-        for group in groups:
-            flipped = amplitudes.reshape(group.shape)[group.flip]
-            np.multiply(group.diagonal, flipped, out=scratch.reshape(group.shape))
-            total += np.vdot(amplitudes, scratch)
-    work = StateVector(state.num_qubits, scratch) if with_h else None
-    for coeff, factors in with_h:
-        np.copyto(scratch, amplitudes)
-        for q, ch in enumerate(factors):
-            if ch != "I":
-                apply_matrix(work, FACTORS[ch], (q,))
-        total += coeff * inner_product(state, work)
+    groups = () if pairs is not None else plan.groups
+    if groups or plan.with_h:
+        part = StateVector(state.num_qubits, np.empty_like(amplitudes))
+        for coeff in _parts(state, groups, plan.with_h, part):
+            total += coeff * inner_product(state, part)
     if counters is not None:
         counters.observable_applies += 1
         counters.inner_products += 1
@@ -464,6 +442,10 @@ def parse_observable(text: str) -> Observable:
             if len(tokens) != 2 or tokens[0] != "qubits" or not tokens[1].isdigit():
                 raise ObservableParseError(lineno, f"expected `qubits <n>`, got {line!r}")
             num_qubits = int(tokens[1])
+            try:
+                check_num_qubits(num_qubits)
+            except ValueError as exc:
+                raise ObservableParseError(lineno, str(exc)) from exc
             continue
         if len(tokens) != 3:
             raise ObservableParseError(lineno, "expected `<re> <im> <factors>`")

@@ -4,6 +4,7 @@ Small enough to run on every install; the CLI exposes it as a subcommand.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -17,7 +18,7 @@ from .gradients import (
     reference_gradient,
     reverse_mode_gradient,
 )
-from .observable import builtin_observable
+from .observable import Observable, builtin_observable
 from .statevector import init_basis_state
 
 TRIANGLE_REFERENCE_TOL = 1e-11
@@ -57,32 +58,50 @@ def _skew_derivatives(circuit: Circuit) -> Circuit:
     return replace(circuit, gates=tuple(gates))
 
 
-def _triangle_checks(rng: np.random.Generator, perturb_derivative: bool) -> list[CheckResult]:
-    results = []
+def _heisenberg(num_qubits: int) -> Observable:
+    """All-pairs XX+YY+ZZ with the fixed couplings 1/(j - i): one flip-mask
+    group per pair of qubits beside the ZZ group, so the sweeps' applies sum
+    groups on reversed views and the finite differences' expectations read
+    the pair table."""
+    terms = []
+    for i, j in itertools.combinations(range(num_qubits), 2):
+        for axis in "XYZ":
+            factors = ["I"] * num_qubits
+            factors[i] = factors[j] = axis
+            terms.append((1.0 / (j - i), "".join(factors)))
+    return Observable(num_qubits, tuple(terms))
+
+
+def _triangle_cases():
+    """(check name, ansatz, observable) of every oracle-triangle check."""
     for num_qubits in (3, 4):
         obs = builtin_observable("z_all", num_qubits)
-        input_state = init_basis_state(num_qubits)
         for family in FAMILIES:
-            circuit = build_ansatz(AnsatzSpec(family, num_qubits, reps=2))
-            if perturb_derivative:
-                circuit = _skew_derivatives(circuit)
-            theta = rng.uniform(0.0, 2.0 * np.pi, circuit.num_params)
-            rev = reverse_mode_gradient(circuit, theta, obs, input_state).values
-            ref = reference_gradient(circuit, theta, obs, input_state).values
-            fd = finite_difference_gradient(circuit, theta, obs, input_state, FD_STEP).values
-            ref_err = float(np.abs(rev - ref).max())
-            fd_err = float(np.abs(rev - fd).max())
-            name = f"oracle-triangle/{family}/N={num_qubits}"
-            if ref_err > TRIANGLE_REFERENCE_TOL:
-                results.append(
-                    CheckResult(name, False, f"|reverse - reference| = {ref_err:.3e}")
-                )
-            elif fd_err > TRIANGLE_FD_TOL:
-                results.append(
-                    CheckResult(name, False, f"|reverse - finite difference| = {fd_err:.3e}")
-                )
-            else:
-                results.append(CheckResult(name, True))
+            yield f"oracle-triangle/{family}/N={num_qubits}", AnsatzSpec(family, num_qubits, 2), obs
+    yield "oracle-triangle/D/N=4/heisenberg", AnsatzSpec("D", 4, 2), _heisenberg(4)
+
+
+def _triangle_checks(rng: np.random.Generator, perturb_derivative: bool) -> list[CheckResult]:
+    results = []
+    for name, spec, obs in _triangle_cases():
+        input_state = init_basis_state(spec.num_qubits)
+        circuit = build_ansatz(spec)
+        if perturb_derivative:
+            circuit = _skew_derivatives(circuit)
+        theta = rng.uniform(0.0, 2.0 * np.pi, circuit.num_params)
+        rev = reverse_mode_gradient(circuit, theta, obs, input_state).values
+        ref = reference_gradient(circuit, theta, obs, input_state).values
+        fd = finite_difference_gradient(circuit, theta, obs, input_state, FD_STEP).values
+        ref_err = float(np.abs(rev - ref).max())
+        fd_err = float(np.abs(rev - fd).max())
+        if ref_err > TRIANGLE_REFERENCE_TOL:
+            results.append(CheckResult(name, False, f"|reverse - reference| = {ref_err:.3e}"))
+        elif fd_err > TRIANGLE_FD_TOL:
+            results.append(
+                CheckResult(name, False, f"|reverse - finite difference| = {fd_err:.3e}")
+            )
+        else:
+            results.append(CheckResult(name, True))
     return results
 
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import svgrad.cli as cli
+import svgrad.observable as observable_module
+import svgrad.selftest as selftest_module
 from svgrad.gradients import PEAK_STATES
 from svgrad.selftest import run_selftest
 
@@ -97,6 +99,26 @@ def test_grad_non_hermitian_dispatch(tmp_path, capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "Hermitian" in err[0]
+
+
+@pytest.mark.parametrize(
+    "qubits,message",
+    [(40, "line 1: 40 qubits exceed the limit of 30"), (24, "observable acts on 24 qubits, circuit on 1")],
+)
+def test_grad_refuses_an_observable_register_before_expanding_it(
+    tmp_path, capsys, monkeypatch, qubits, message
+):
+    # deciding Hermiticity of the complex term would build a 2^N group diagonal
+    def refuse(*args):
+        raise AssertionError("a group diagonal was built")
+
+    monkeypatch.setattr(observable_module, "_add_group_diagonal", refuse)
+    circ = write(tmp_path, "ry.circ", RY_CIRCUIT)
+    obs = write(tmp_path, "wide.obs", f"qubits {qubits}\n0 1 Z{'I' * (qubits - 1)}\n")
+    assert cli.main(["grad", circ, obs, "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_grad_parse_error_cites_line(tmp_path, capsys):
@@ -322,6 +344,10 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "oracle-triangle" in out
     assert "FAIL" not in out
+    # a Heisenberg observable reaches the flip groups and the pair table
+    assert "ok   oracle-triangle/D/N=4/heisenberg\n" in out
+    heisenberg = selftest_module._heisenberg(4)
+    assert sum(map(bool, heisenberg._apply_plan.masks)) == 6 and heisenberg._pairs is not None
     # the whole op-count contract, derivative applies included
     for p in (12, 40):
         for check in ("reverse/P={}/derivative_applies", "reference/P={}/derivative_applies",
@@ -333,6 +359,7 @@ def test_selftest_negative_control(capsys):
     assert cli.main(["selftest", "--perturb-derivative"]) == 1
     out = capsys.readouterr().out
     assert any("FAIL" in line and "oracle-triangle" in line for line in out.splitlines())
+    assert "FAIL oracle-triangle/D/N=4/heisenberg (" in out
 
 
 def test_selftest_negative_control_leaves_concurrent_run_intact():

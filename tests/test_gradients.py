@@ -10,6 +10,7 @@ import pytest
 
 import svgrad.gates as gates_module
 import svgrad.gradients as gradients_module
+import svgrad.observable as observable_module
 import svgrad.statevector as sv
 from conftest import expectation_oracle, finite_difference_literal, random_state
 from svgrad.ansatz import FAMILIES, AnsatzSpec, build_ansatz
@@ -270,6 +271,38 @@ def test_singular_gate_reported_with_index():
     circuit = Circuit(1, (ry(0, 0), gate), 1)
     with pytest.raises(NonInvertibleGateError, match="gate 1"):
         reverse_mode_gradient(circuit, [0.1], Z1, init_basis_state(1))
+
+
+def test_size_mismatch_is_refused_before_hermiticity(monkeypatch):
+    """Deciding Hermiticity would build a group diagonal of 2^24 entries; the
+    mismatched register is refused first."""
+    def refuse(*args):
+        raise AssertionError("a group diagonal was built")
+
+    monkeypatch.setattr(observable_module, "_add_group_diagonal", refuse)
+    obs = Observable(24, ((1j, "Z" + "I" * 23),))
+    circuit = Circuit(1, (ry(0, 0),), 1)
+    engines = (
+        reverse_mode_gradient, reference_gradient, non_hermitian_gradient,
+        finite_difference_gradient,
+    )
+    for engine in engines:
+        with pytest.raises(ValueError, match="observable acts on 24 qubits, circuit on 1"):
+            engine(circuit, [0.3], obs, init_basis_state(1))
+
+
+def test_reference_differentiates_a_singular_gate_it_never_inverts():
+    """The quadratic schedule undoes no gate, so a singular NonUnitary gate
+    binds for it; the reverse sweeps, which rewind the ket, refuse it."""
+    gate = Gate(NonUnitary(lambda t: np.diag([1.0, 0.0]), 1), (0,), (), (0,))
+    circuit = Circuit(1, (ry(0, 0), gate, rx(0, 1)), 2)
+    theta, inp = [0.3, 0.7], init_basis_state(1)
+    ref = reference_gradient(circuit, theta, Z1, inp).values
+    fd = finite_difference_gradient(circuit, theta, Z1, inp).values
+    np.testing.assert_allclose(ref, fd, rtol=0, atol=1e-6)
+    for engine in (reverse_mode_gradient, non_hermitian_gradient):
+        with pytest.raises(NonInvertibleGateError, match="gate 1"):
+            engine(circuit, theta, Z1, inp)
 
 
 # -- matrices from user code ----------------------------------------------------------
@@ -889,7 +922,9 @@ def test_layout_gather_plans_are_contiguous(spec):
 def test_plan_matches_the_per_gate_api(kernel):
     circuit = _mixed_circuit()
     params = np.random.default_rng(47).uniform(-np.pi, np.pi, circuit.num_params)
-    bound = gradients_module._bind(circuit, params, gradient=True)
+    bound = gradients_module._with_rewinds(
+        circuit, gradients_module._bind(circuit, params, gradient=True)
+    )
     matrices_only = gradients_module._bind(circuit, params)
     assert matrices_only.derivatives is None and matrices_only.adjoints is None
     assert matrices_only.rewinds is None
@@ -954,7 +989,9 @@ def test_bind_keeps_exactly_real_matrices_float64():
     )
     circuit = Circuit(3, gates, 7)
     params = np.array([0.3, -1.2, 0.8, 2.1, 0.4, -0.6, 0.0])
-    bound = gradients_module._bind(circuit, params, gradient=True)
+    bound = gradients_module._with_rewinds(
+        circuit, gradients_module._bind(circuit, params, gradient=True)
+    )
     real_matrices = {0, 1, 2, 6, 7, 8, 9, 12}
     real_derivatives = {0, 1, 2, 12}
     for i, gate in enumerate(gates):

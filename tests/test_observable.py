@@ -233,7 +233,7 @@ def test_grouped_expectation_allocates_no_output_state():
     # one flip mask: its 1 MiB diagonal fits the budget
     obs = Observable(num_qubits, ((0.5 - 0.25j, "X" + "Z" * 15), (1.5j, "Y" + "I" * 15)))
     expectation(state, obs)  # builds the plan, which keeps the group diagonal
-    assert len(obs._apply_plan[0]) == 1 and obs._apply_plan[1] == ()
+    assert len(obs._apply_plan.groups) == 1 and obs._apply_plan.with_h == ()
     tracemalloc.start()
     try:
         expectation(state, obs)
@@ -263,8 +263,8 @@ def test_grouped_apply_matches_kron_oracle(num_qubits):
     rng = np.random.default_rng(40 + num_qubits)
     for _ in range(5):
         obs = _h_free_observable(num_qubits, rng)
-        groups, with_h = obs._apply_plan
-        assert with_h == () and len(groups) <= 3
+        plan = obs._apply_plan
+        assert plan.with_h == () and len(plan.groups) <= 3
         state = random_state(num_qubits, rng)
         expected = observable_matrix_oracle(obs) @ state.amplitudes
         np.testing.assert_allclose(apply_observable(state, obs).amplitudes, expected, atol=1e-12)
@@ -285,14 +285,12 @@ def test_kron_factor_oracle_matches_the_dense_oracle():
 
 @pytest.mark.parametrize("with_h", [0, 3])
 def test_grouped_apply_matches_kron_factors_at_the_gather_cut(with_h):
-    # N=12 is the largest state with a gather table; its dense oracle would be 256 MiB
+    # N=12 is the largest state the pair table may serve; its dense oracle would be 256 MiB
     num_qubits = 12
     assert 1 << num_qubits == sv._GATHER_MAX_AMPS
     rng = np.random.default_rng(46 + with_h)
     obs = _h_free_observable(num_qubits, rng, with_h=with_h)
-    plan = obs._apply_plan
-    groups, terms_with_h = plan
-    assert len(terms_with_h) == with_h and plan.index.shape == (len(groups), 1 << 12)
+    assert len(obs._apply_plan.with_h) == with_h
     state = random_state(num_qubits, rng)
     expected = observable_kron_apply(obs, state.amplitudes)
     np.testing.assert_allclose(apply_observable(state, obs).amplitudes, expected, atol=1e-12)
@@ -301,12 +299,10 @@ def test_grouped_apply_matches_kron_factors_at_the_gather_cut(with_h):
 
 @pytest.mark.parametrize("num_qubits", [8, 10, 12, 13])
 def test_gather_and_view_sums_match_per_term(num_qubits, kernel):
-    # the plan reads the gather cut when it is built: "views" moves it to 0
+    # "views" moves the gather cut to 0, for the gate kernel and the pair table
     rng = np.random.default_rng(57 + num_qubits)
     for with_h in (0, 2):
         obs = _h_free_observable(num_qubits, rng, with_h=with_h)
-        gathered = (1 << num_qubits) <= sv._GATHER_MAX_AMPS
-        assert (obs._apply_plan.index is not None) == gathered
         state = random_state(num_qubits, rng)
         np.testing.assert_allclose(
             apply_observable(state, obs).amplitudes,
@@ -320,11 +316,23 @@ def test_gather_and_view_sums_match_per_term(num_qubits, kernel):
 def test_gather_index_flips_each_group_mask():
     obs = Observable(4, ((1.0, "XZIY"), (0.5, "IZZI"), (-2.0, "+I-I"), (0.25j, "YIXI")))
     plan = obs._apply_plan
-    masks = [0b1001, 0b0000, 0b0101]
-    assert plan.index.dtype == np.intp
-    np.testing.assert_array_equal(plan.index, np.arange(16) ^ np.array(masks)[:, None])
-    for group, row in zip(plan[0], plan.diagonals, strict=True):
+    assert plan.masks == (0b1001, 0b0000, 0b0101)
+    for group, row in zip(plan.groups, plan.diagonals, strict=True):
         np.testing.assert_array_equal(group.diagonal.reshape(-1), row)
+    # the pair table gathers psi[k xor x], one entry per pair k < k xor x; the
+    # two masks share bit 0, so an OR in place of the XOR gives other columns
+    obs = Observable(4, ((1.0, "XZIX"), (0.5, "YIYI"), (0.5, "IZZI")))
+    plan = obs._apply_plan
+    assert plan.masks == (0b1001, 0b0101, 0b0000)
+    want = sorted(
+        (k, k ^ mask, complex(row[k]))
+        for mask, row in zip(plan.masks, plan.diagonals)
+        for k in range(16)
+        if k < k ^ mask and row[k] != 0
+    )
+    _, rows, cols, vals = obs._pairs
+    assert len(want) == 16
+    assert sorted(zip(rows.tolist(), cols.tolist(), vals.tolist())) == want
 
 
 def _heisenberg(num_qubits, rng):
@@ -347,11 +355,9 @@ def _heisenberg(num_qubits, rng):
 def test_all_pairs_heisenberg_at_n10_keeps_every_group():
     obs = _heisenberg(10, np.random.default_rng(58))
     plan = obs._apply_plan
-    groups, with_h = plan
-    assert len(obs.terms) == 145 and with_h == ()
-    assert len(groups) == 46
+    assert len(obs.terms) == 145 and plan.with_h == ()
+    assert len(plan.groups) == len(plan.masks) == 46
     assert plan.diagonals.nbytes == 46 * 16 * 2**10 <= observable_module._DIAGONAL_BUDGET_BYTES
-    assert plan.index.shape == (46, 2**10)
     state = random_state(10, np.random.default_rng(59))
     _assert_expectation_matches_apply(state, obs)
 
@@ -372,8 +378,8 @@ def test_grouped_apply_matches_per_term_at_view_kernel_size():
 def test_mixed_hadamard_and_grouped_terms(num_qubits):
     rng = np.random.default_rng(48)
     obs = _h_free_observable(num_qubits, rng, num_terms=6, with_h=3)
-    groups, with_h = obs._apply_plan
-    assert len(with_h) == 3 and 1 <= len(groups) <= 3
+    plan = obs._apply_plan
+    assert len(plan.with_h) == 3 and 1 <= len(plan.groups) <= 3
     state = random_state(num_qubits, rng)
     np.testing.assert_allclose(
         apply_observable(state, obs).amplitudes,
@@ -389,11 +395,11 @@ def test_diagonal_budget_boundary(monkeypatch):
     budget = 3 * 16 * 2**6
     assert budget <= observable_module._DIAGONAL_BUDGET_BYTES
     monkeypatch.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", budget)
-    groups, with_h = Observable(6, terms)._apply_plan
-    assert len(groups) == 3 and with_h == terms[3:]
+    plan = Observable(6, terms)._apply_plan
+    assert len(plan.groups) == 3 and plan.with_h == terms[3:]
     monkeypatch.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", budget - 1)
     over = Observable(6, terms)
-    assert over._apply_plan == ((), terms)
+    assert over._apply_plan.groups == () and over._apply_plan.with_h == terms
     # over the budget every term takes the per-term path, bit for bit
     state = random_state(6, np.random.default_rng(49))
     np.testing.assert_array_equal(
@@ -415,7 +421,7 @@ def test_grouped_expectation_matches_apply(num_qubits):
     rng = np.random.default_rng(70 + num_qubits)
     for _ in range(5):
         obs = _h_free_observable(num_qubits, rng)
-        assert obs._apply_plan[1] == ()
+        assert obs._apply_plan.with_h == ()
         _assert_expectation_matches_apply(random_state(num_qubits, rng), obs)
 
 
@@ -430,23 +436,29 @@ def test_expectation_past_the_diagonal_budget_matches_apply(monkeypatch):
     rng = np.random.default_rng(90)
     monkeypatch.setattr(observable_module, "_DIAGONAL_BUDGET_BYTES", 16 * 2**6)
     obs = _h_free_observable(6, rng)
-    assert obs._apply_plan[0] == ()
+    assert obs._apply_plan.groups == ()
     _assert_expectation_matches_apply(random_state(6, rng), obs)
 
 
-def _gathered_expectation(state, obs):
-    """The full gather's <psi|O|psi>: every group, every amplitude."""
+def _group_sum_expectation(state, obs):
+    """<psi|O|psi> of an H-free observable as sum_x vdot(psi, D_x * psi[k xor x]),
+    every group, every amplitude, in group order."""
     plan = obs._apply_plan
-    return complex(np.vdot(state.amplitudes, observable_module._gathered(state.amplitudes, plan)))
+    assert plan.with_h == ()
+    amplitudes = state.amplitudes
+    total = 0j
+    for mask, row in zip(plan.masks, plan.diagonals):
+        total += complex(np.vdot(amplitudes, row * amplitudes[np.arange(row.size) ^ mask]))
+    return total
 
 
-def _assert_pairs_match_full_gather(obs, rng):
+def _assert_pairs_match_group_sum(obs, rng):
     scale = sum(abs(c) for c, _ in obs.terms)
     for _ in range(3):
         state = random_state(obs.num_qubits, rng)
         got = expectation(state, obs)
         assert got.imag == 0.0
-        assert abs(got - _gathered_expectation(state, obs)) <= 1e-12 * scale
+        assert abs(got - _group_sum_expectation(state, obs)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("obs", [
@@ -457,14 +469,14 @@ def _assert_pairs_match_full_gather(obs, rng):
     # a mask group whose terms cancel to an all-zero diagonal, and Y's imaginary entries
     Observable(4, ((1.0, "XIYI"), (-1.0, "XIYI"), (0.25, "YYII"), (2.0, "IIIZ"))),
 ], ids=["z_all", "plus-minus", "zero-group"])
-def test_pair_expectation_matches_full_gather(obs):
+def test_pair_expectation_matches_group_sum(obs):
     pairs = obs._pairs
     assert pairs is not None
     d0, rows, cols, vals = pairs
     assert d0.dtype == np.float64 and np.all(rows < cols) and np.all(vals != 0)
     for table in pairs:
         assert not table.flags.writeable
-    _assert_pairs_match_full_gather(obs, np.random.default_rng(91))
+    _assert_pairs_match_group_sum(obs, np.random.default_rng(91))
 
 
 def test_heisenberg_pair_table_reads_each_nonzero_flip_pair_once():
@@ -474,7 +486,7 @@ def test_heisenberg_pair_table_reads_each_nonzero_flip_pair_once():
     assert len(rows) == len(cols) == len(vals) == 45 * 256
     masks = np.unique(rows ^ cols)  # one two-bit mask per coupled pair of qubits
     assert len(masks) == 45 and all(bin(m).count("1") == 2 for m in masks)
-    _assert_pairs_match_full_gather(obs, np.random.default_rng(93))
+    _assert_pairs_match_group_sum(obs, np.random.default_rng(93))
 
 
 @pytest.mark.parametrize("obs", [
@@ -482,10 +494,10 @@ def test_heisenberg_pair_table_reads_each_nonzero_flip_pair_once():
     Observable(2, ((complex(0.1, 0.2), "+I"), (complex(0.1, -np.nextafter(0.2, 1.0)), "-I"))),
     Observable(2, ((1.0, "+I"), (0.5, "ZZ"))),
 ], ids=["rounding-broken", "non-hermitian"])
-def test_inexact_pairs_keep_the_full_gather(obs):
+def test_inexact_pairs_keep_the_group_sum(obs):
     assert obs._pairs is None
     state = random_state(2, np.random.default_rng(94))
-    assert expectation(state, obs) == _gathered_expectation(state, obs)
+    assert expectation(state, obs) == _group_sum_expectation(state, obs)
 
 
 def test_pairs_only_below_the_gather_cut():
@@ -523,18 +535,16 @@ def test_expectation_size_mismatch():
 
 def test_cached_diagonals_are_read_only():
     obs = Observable(3, ((1.0, "XZI"), (0.5j, "Y+I"), (2.0, "ZZZ")))
-    groups, _ = obs._apply_plan
-    assert obs._apply_plan[0] is groups
-    for group in groups:
+    plan = obs._apply_plan
+    assert obs._apply_plan is plan
+    for group in plan.groups:
         with pytest.raises(ValueError):
             group.diagonal[(0,) * group.diagonal.ndim] = 1.0
-    # one stack, which every group diagonal views, and the gather table
-    plan = obs._apply_plan
-    for group in groups:
+    # one stack, which every group diagonal views
+    for group in plan.groups:
         assert np.shares_memory(group.diagonal, plan.diagonals)
-    for table in (plan.diagonals, plan.index):
-        with pytest.raises(ValueError):
-            table[0, 0] = 1
+    with pytest.raises(ValueError):
+        plan.diagonals[0, 0] = 1
 
 
 def test_threads_apply_one_fresh_observable():
@@ -613,6 +623,18 @@ def test_parse_non_finite_coefficient_names_line():
     message = r"^line 3: non-finite coefficient \(nan\+0j\) for term 'ZZ'$"
     with pytest.raises(ObservableParseError, match=message):
         parse_observable("qubits 2\n1 0 XX\nnan 0 ZZ\n")
+
+
+@pytest.mark.parametrize(
+    "num_qubits,message", [(0, "need at least one qubit"), (31, "31 qubits exceed the limit")]
+)
+def test_out_of_range_register_is_refused(num_qubits, message):
+    with pytest.raises(ValueError, match=message):
+        Observable(num_qubits, ((1.0, "Z" * num_qubits),))
+    # a parse error on the header line, before any term is read
+    text = f"# register\nqubits {num_qubits}\n1 0 {'Z' * num_qubits}\n"
+    with pytest.raises(ObservableParseError, match=f"^line 2: {message}"):
+        parse_observable(text)
 
 
 def test_builtins():
