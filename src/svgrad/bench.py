@@ -88,6 +88,8 @@ def run_benchmark(
     repetitions: int = 24,
     seed: int = 0,
 ) -> tuple[list[BenchRecord], list[ScalingFit]]:
+    if not (methods and reps_values):
+        raise ValueError("nothing to time: give at least one method and one repetition depth")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}, expected one of {sorted(METHODS)}")

@@ -17,12 +17,7 @@ from .gradients import (
     reference_gradient,
     reverse_mode_gradient,
 )
-from .observable import (
-    BUILTIN_OBSERVABLES,
-    Observable,
-    builtin_observable,
-    parse_observable,
-)
+from .observable import BUILTIN_OBSERVABLES, builtin_observable, parse_observable
 from .selftest import run_selftest
 from .statevector import init_basis_state
 
@@ -30,19 +25,6 @@ EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_OUTPUT = 4
 EXIT_MEMORY = 5
-
-
-def _load_observable(spec: str, num_qubits: int) -> Observable:
-    """The builtin or the file's observable, refused unless it acts on
-    ``num_qubits`` qubits: before anything reads ``is_hermitian``, which may
-    expand a group diagonal of 2^N entries."""
-    if spec in BUILTIN_OBSERVABLES:
-        return builtin_observable(spec, num_qubits)
-    with open(spec, encoding="utf-8") as fh:
-        obs = parse_observable(fh.read())
-    if obs.num_qubits != num_qubits:
-        raise ValueError(f"observable acts on {obs.num_qubits} qubits, circuit on {num_qubits}")
-    return obs
 
 
 def _load_params(spec: str) -> np.ndarray:
@@ -83,7 +65,11 @@ def _cmd_grad(args: argparse.Namespace) -> int:
     try:
         with open(args.circuit, encoding="utf-8") as fh:
             circuit = parse_circuit(fh.read())
-        obs = _load_observable(args.observable, circuit.num_qubits)
+        if args.observable in BUILTIN_OBSERVABLES:
+            obs = builtin_observable(args.observable, circuit.num_qubits)
+        else:  # on its own register, which the engines compare with the circuit's
+            with open(args.observable, encoding="utf-8") as fh:
+                obs = parse_observable(fh.read())
         params = _load_params(args.params)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

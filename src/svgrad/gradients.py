@@ -128,7 +128,7 @@ def _check_call(
         raise ValueError(
             f"input state has {input_state.num_qubits} qubits, circuit {circuit.num_qubits}"
         )
-    # after the sizes: deciding Hermiticity may expand a group diagonal of 2^N entries
+    # after the sizes, so a mismatched register is named before the Pauli expansion's cap
     if hermitian and not obs.is_hermitian:
         raise ValueError(
             "observable is not Hermitian, which this method needs; non_hermitian_gradient "
@@ -366,20 +366,21 @@ def finite_difference_gradient(
     from the unshifted matrices and re-forms those of the gates that read
     p_k with ``gate_matrix``, whose rotation matrix is bit for bit the row a
     full bind's stacked closed form gives, float64 when exactly real as a
-    bind keeps it. Gates before the first gate f_k
-    that uses p_k get the same matrices either way, so one prefix
-    state walks the parameters in order of f_k (f_k = G, the gate count,
-    when no gate uses p_k), moved forward through the unshifted matrices;
-    each evaluation clones it and runs only gates f_k..G-1. The values are
-    bit for bit those of two full evaluations per parameter. At the end the
-    prefix is the forward state, whose expectation is the report's energy.
-    That is G + 2 sum_k (G - f_k) gate applications, 2P+1 clones, operator
-    applications and inner products, and three live states: the input, the
-    prefix and the working state. A ``delta`` that is not positive, or
-    whose double is not finite, a shifted entry that overflows and a
-    shifted entry that rounds back to the unshifted one (``delta`` below
-    that entry's float resolution) raise ValueError, naming each such
-    entry.
+    bind keeps it. Gates before the first gate f_k that uses p_k get the
+    same matrices either way, so one prefix state walks the parameters in
+    order of f_k (f_k = G, the gate count, when no gate uses p_k), moved
+    forward through the unshifted matrices; each evaluation clones it and
+    runs only gates f_k..G-1. The values are bit for bit those of two full
+    evaluations per parameter. At the end the prefix is the forward state,
+    whose expectation is the report's energy. That is G + 2 sum_k (G - f_k)
+    gate applications, 2P+1 clones, operator applications and inner
+    products, and three live states in the audit: the input, the prefix and
+    the working state. In bytes ``expectation`` adds one scratch state, for
+    mask groups above the gather cut or for terms with ``H``. A ``delta``
+    that is not positive, or whose double is not finite, a shifted entry
+    that overflows and a shifted entry that rounds back to the unshifted
+    one (``delta`` below that entry's float resolution) raise ValueError,
+    naming each such entry.
     """
     if not (delta > 0 and math.isfinite(2.0 * delta)):
         raise ValueError(f"delta must be positive and 2*delta finite, got {delta}")

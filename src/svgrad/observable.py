@@ -30,12 +30,12 @@ term of an observable whose diagonals would exceed
 psi[k xor x]) group by group, and each term with ``H`` adds coeff *
 vdot(psi, term psi), every product formed in one scratch state. At the
 gate kernel's cut, ``statevector._GATHER_MAX_AMPS`` (2^12 amplitudes), or
-below, where numpy dispatch sets the cost, the operator's Hermiticity is
-decided once, on the first ``expectation``, by the exact pair test
-D_x[k xor x] == conj(D_x[k]) on every group. If every group passes, the
-observable keeps a pair table beside its plan, built from the stack and
-the masks, which no apply builds or reads: the real diagonal d0 of the
-x = 0 group and, over the other groups, one entry per flip pair
+below, where numpy dispatch sets the cost, whether the groups are exactly
+Hermitian is decided once, on the first ``expectation``, by the exact
+pair test D_x[k xor x] == conj(D_x[k]) on every group. If every group
+passes, the observable keeps a pair table beside its plan, built from the
+stack and the masks, which no apply builds or reads: the real diagonal
+d0 of the x = 0 group and, over the other groups, one entry per flip pair
 k < k xor x with D_x[k] != 0, and the grouped part is
 vdot(psi, d0 psi) + 2 Re sum conj(psi_k) D_x[k] psi_{k xor x}, which
 reads each pair once and skips the zero entries (all-pairs Heisenberg at
@@ -51,6 +51,9 @@ values, which the constructor checks, bounds every diagonal entry. The
 adjoint observable is cached on the observable too, with its own plan, so
 an observable whose adjoint has been applied keeps a second plan of up to
 that budget.
+
+``Observable.is_hermitian`` bounds O - O^dagger by the imaginary parts of
+the checked terms' summed Pauli-string coefficients, with no matrix or state.
 """
 from __future__ import annotations
 
@@ -78,10 +81,16 @@ FACTORS = {
 
 _ADJOINT_LETTER = {"I": "I", "X": "X", "Y": "Y", "Z": "Z", "H": "H", "+": "-", "-": "+"}
 
-# Largest register whose non-structural terms with H (a complex coefficient
-# or a raising/lowering letter) are checked for Hermiticity on the dense
-# matrix; past it such an observable counts as not Hermitian.
-_NUMERIC_HERMITICITY_MAX_QUBITS = 10
+# Each letter as its Pauli sum M = sum_P tr(P M)/2 P, nonzero terms only:
+# H = (X+Z)/sqrt2, + = (X-iY)/2, - = (X+iY)/2. The trace is an elementwise
+# sum, as a matmul at import would start BLAS in every process.
+_PAULI_SUM = {
+    ch: tuple((p, a) for p in "IXYZ" if (a := complex((FACTORS[p].T * m).sum()) / 2))
+    for ch, m in FACTORS.items()
+}
+
+# Most Pauli strings ``Observable.is_hermitian`` expands its checked terms to
+_MAX_PAULI_STRINGS = 1 << 16
 
 # Letters that flip their qubit; with I and Z they are the monomial letters.
 _FLIPS = frozenset("XY+-")
@@ -170,29 +179,29 @@ class Observable:
         """Whether the operator equals its adjoint, to 1e-12 times sum |coeff|.
 
         A term with a real coefficient and no ``+`` or ``-`` is Hermitian on
-        its own, so only the other terms are checked. Without ``H`` they are
-        checked one flip-mask group at a time, by the pair residual
-        max_k |D_x[k xor x] - conj(D_x[k])|, with no dense matrix; with
-        ``H``, on the dense matrix, up to ``_NUMERIC_HERMITICITY_MAX_QUBITS``.
+        its own. The other terms' letters are written as Pauli sums and the
+        coefficients a_P summed per Pauli string P, so O - O^dagger =
+        2i sum_P Im(a_P) P; Pauli entries have modulus at most 1, so the
+        bound 2 sum_P |Im a_P| on every entry must be within the tolerance.
+        No matrix or state is formed. Past ``_MAX_PAULI_STRINGS`` strings
+        (2^k for a term with k letters among ``H + -``) it raises ValueError.
         """
-        rest = [(c, f) for c, f in self.terms if c.imag != 0.0 or "+" in f or "-" in f]
-        if not rest:
-            return True
+        checked = [(c, f) for c, f in self.terms if c.imag != 0.0 or "+" in f or "-" in f]
+        count = sum(math.prod(len(_PAULI_SUM[ch]) for ch in f) for _, f in checked)
+        if count > _MAX_PAULI_STRINGS:
+            raise ValueError(
+                f"deciding Hermiticity needs {count} Pauli strings, "
+                f"past the limit of {_MAX_PAULI_STRINGS}"
+            )
+        sums: dict[str, complex] = {}
+        for coeff, factors in checked:
+            for paulis in itertools.product(*(_PAULI_SUM[ch] for ch in factors)):
+                string = "".join(p for p, _ in paulis)
+                sums[string] = sums.get(string, 0j) + coeff * math.prod(a for _, a in paulis)
         # absolute, on the scale of the entries: a relative tolerance would
         # pass a small anti-Hermitian part next to a large entry
-        atol = 1e-12 * sum(abs(c) for c, _ in self.terms)
-        if any("H" in f for _, f in rest):
-            if self.num_qubits > _NUMERIC_HERMITICITY_MAX_QUBITS:
-                return False
-            m = dense_matrix(Observable(self.num_qubits, tuple(rest)))
-            return bool(np.allclose(m, m.conj().T, rtol=0, atol=atol))
-        for mask, terms in _by_mask(rest).items():
-            shape, flip = _flip_view(mask)
-            diagonal = np.zeros((2,) * self.num_qubits, dtype=complex)
-            _add_group_diagonal(diagonal, terms)
-            if _pair_residual(diagonal.reshape(shape), flip) > atol:
-                return False
-        return True
+        residual = 2.0 * sum(abs(a.imag) for a in sums.values())
+        return residual <= 1e-12 * sum(abs(c) for c, _ in self.terms)
 
     @cached_property
     def _adjoint(self) -> Observable:
@@ -209,7 +218,12 @@ class Observable:
     def _apply_plan(self) -> _Plan:
         """The H-free terms grouped by flip mask, and the terms applied one by one."""
         with_h = tuple((c, f) for c, f in self.terms if "H" in f)
-        by_mask = _by_mask([(c, f) for c, f in self.terms if "H" not in f])
+        # the H-free terms by flip mask, one flag per qubit, in first-seen order
+        by_mask: dict[tuple[bool, ...], list[tuple[complex, str]]] = {}
+        for coeff, factors in self.terms:
+            if "H" not in factors:
+                mask = tuple(ch in _FLIPS for ch in factors)
+                by_mask.setdefault(mask, []).append((coeff, factors))
         n = self.num_qubits
         if len(by_mask) * (16 << n) > _DIAGONAL_BUDGET_BYTES:
             by_mask, with_h = {}, self.terms
@@ -219,7 +233,12 @@ class Observable:
         diagonals.flags.writeable = False  # before the views, which inherit it
         groups = []
         for mask, row in zip(by_mask, diagonals):
-            shape, flip = _flip_view(mask)
+            # psi[k xor x] is a reversed view of psi: axis 0 of the C-order
+            # view is qubit N-1, and a run of qubits that all flip (or all
+            # keep) is one axis, reversed when it flips
+            runs = [(flips, len(list(run))) for flips, run in itertools.groupby(reversed(mask))]
+            shape = tuple(1 << length for _, length in runs)
+            flip = tuple(slice(None, None, -1 if flips else 1) for flips, _ in runs)
             groups.append(_FlipGroup(shape, flip, row.reshape(shape)))
         masks = tuple(sum(1 << q for q, flips in enumerate(mask) if flips) for mask in by_mask)
         return _Plan(tuple(groups), with_h, diagonals, masks)
@@ -233,34 +252,9 @@ class Observable:
         # exact symmetry, not the Hermiticity tolerance: a nearly Hermitian
         # observable keeps its complex expectation
         if plan.groups and (1 << self.num_qubits) <= statevector._GATHER_MAX_AMPS:
-            if all(_pair_residual(gr.diagonal, gr.flip) == 0 for gr in plan.groups):
+            if all(np.array_equal(gr.diagonal[gr.flip], gr.diagonal.conj()) for gr in plan.groups):
                 return _pair_table(plan.diagonals, plan.masks)
         return None
-
-
-def _by_mask(terms) -> dict[tuple[bool, ...], list[tuple[complex, str]]]:
-    """H-free ``terms`` grouped by flip mask, one flag per qubit, in first-seen order."""
-    by_mask: dict[tuple[bool, ...], list[tuple[complex, str]]] = {}
-    for coeff, factors in terms:
-        by_mask.setdefault(tuple(ch in _FLIPS for ch in factors), []).append((coeff, factors))
-    return by_mask
-
-
-def _flip_view(mask: tuple[bool, ...]) -> tuple[tuple[int, ...], tuple[slice, ...]]:
-    """The view shape and reversing index under which psi[k xor x] is a reversed
-    view of psi, for the flip mask x with one flag per qubit."""
-    # axis 0 of the C-order view is qubit N-1; a run of qubits that all flip
-    # (or all keep) is one axis, reversed when it flips
-    runs = [(flips, len(list(run))) for flips, run in itertools.groupby(reversed(mask))]
-    shape = tuple(1 << length for _, length in runs)
-    flip = tuple(slice(None, None, -1 if flips else 1) for flips, _ in runs)
-    return shape, flip
-
-
-def _pair_residual(diagonal: np.ndarray, flip: tuple[slice, ...]) -> float:
-    """max_k |D[k xor x] - conj(D[k])| of one mask group's diagonal, in its view
-    shape: 0 exactly when the group's part of the operator is Hermitian."""
-    return float(np.abs(diagonal[flip] - diagonal.conj()).max())
 
 
 def _pair_table(diagonals: np.ndarray, masks: tuple[int, ...]) -> _Pairs:
@@ -402,15 +396,6 @@ def expectation(state: StateVector, obs: Observable, counters=None) -> complex:
         counters.observable_applies += 1
         counters.inner_products += 1
     return complex(total)
-
-
-def dense_matrix(obs: Observable) -> np.ndarray:
-    """Explicit 2^N x 2^N matrix; for checks and small-system oracles only."""
-    dim = 1 << obs.num_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for coeff, factors in obs.terms:
-        out += coeff * g.kron_le([FACTORS[ch] for ch in factors])
-    return out
 
 
 def builtin_observable(name: str, num_qubits: int) -> Observable:

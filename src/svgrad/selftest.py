@@ -1,4 +1,4 @@
-"""Built-in verification: oracle triangle and exact op accounting.
+"""Built-in verification: oracle triangle, exact op accounting, Hermiticity.
 
 Small enough to run on every install; the CLI exposes it as a subcommand.
 """
@@ -15,6 +15,7 @@ from .circuit import Circuit, CustomParametric, PauliRotation, rx
 from .gates import pauli_product, rotation_matrix
 from .gradients import (
     finite_difference_gradient,
+    non_hermitian_gradient,
     reference_gradient,
     reverse_mode_gradient,
 )
@@ -135,11 +136,35 @@ def _count_checks(rng: np.random.Generator) -> list[CheckResult]:
     return results
 
 
+def _hermiticity_checks(rng: np.random.Generator) -> list[CheckResult]:
+    """On 11 qubits, (Y/2)xH in raising and lowering letters runs in one sweep
+    and matches the two-sweep engine; a lone raising letter is refused."""
+    circuit = build_ansatz(AnsatzSpec("D", 11, 1))
+    theta = rng.uniform(0.0, 2.0 * np.pi, circuit.num_params)
+    results = []
+    for name, terms, hermitian in (
+        ("YH-accepted", ((0.5j, "+H" + "I" * 9), (-0.5j, "-H" + "I" * 9)), True),
+        ("raise-refused", ((0.5j, "+" + "I" * 10),), False),
+    ):
+        obs = Observable(11, terms)
+        try:
+            rev = reverse_mode_gradient(circuit, theta, obs, init_basis_state(11)).values
+            nh = non_hermitian_gradient(circuit, theta, obs, init_basis_state(11)).values
+            gap = float(np.abs(rev - nh).max())
+            detail = f"accepted, |reverse - non-Hermitian| = {gap:.3e}"
+            passed = hermitian and gap <= TRIANGLE_REFERENCE_TOL
+        except ValueError as exc:
+            detail, passed = str(exc), not hermitian
+        results.append(CheckResult(f"hermiticity/N=11/{name}", passed, "" if passed else detail))
+    return results
+
+
 def run_selftest(seed: int = 0, perturb_derivative: bool = False) -> list[CheckResult]:
-    """Oracle-triangle and op-count checks.
+    """Oracle-triangle, op-count and Hermiticity checks.
 
     ``perturb_derivative`` is the negative control: it skews every rotation
     derivative in the triangle circuits, so those checks must fail.
     """
     rng = np.random.default_rng(seed)
-    return _triangle_checks(rng, perturb_derivative) + _count_checks(rng)
+    results = _triangle_checks(rng, perturb_derivative) + _count_checks(rng)
+    return results + _hermiticity_checks(rng)

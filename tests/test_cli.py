@@ -108,7 +108,7 @@ def test_grad_non_hermitian_dispatch(tmp_path, capsys):
 def test_grad_refuses_an_observable_register_before_expanding_it(
     tmp_path, capsys, monkeypatch, qubits, message
 ):
-    # deciding Hermiticity of the complex term would build a 2^N group diagonal
+    # the mismatch is refused before any 2^N group diagonal is built
     def refuse(*args):
         raise AssertionError("a group diagonal was built")
 
@@ -119,6 +119,16 @@ def test_grad_refuses_an_observable_register_before_expanding_it(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_grad_refuses_an_observable_past_the_pauli_string_cap(tmp_path, capsys):
+    circ = write(tmp_path, "ry17.circ", "qubits 17\nparams 1\nry q0 p0\n")
+    obs = write(tmp_path, "h17.obs", f"qubits 17\n0 1 {'H' * 17}\n")
+    assert cli.main(["grad", circ, obs, "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "131072 Pauli strings" in err[0]
 
 
 def test_grad_parse_error_cites_line(tmp_path, capsys):
@@ -325,6 +335,10 @@ def test_bench_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
         ("--reps", "x", "--reps takes comma-separated integers"),
         ("--qubits", "0", "at least one qubit"),
         ("--methods", "foo", "unknown method 'foo'"),
+        ("--methods", "", "nothing to time"),
+        ("--methods", ",", "nothing to time"),
+        ("--reps", "", "nothing to time"),
+        ("--reps", ",", "nothing to time"),
     ],
 )
 def test_bench_bad_argument_exit_code(tmp_path, capsys, flag, value, message):
@@ -346,6 +360,10 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
     # a Heisenberg observable reaches the flip groups and the pair table
     assert "ok   oracle-triangle/D/N=4/heisenberg\n" in out
+    # both Hermiticity decisions past ten qubits
+    assert "ok   hermiticity/N=11/YH-accepted\n" in out
+    assert "ok   hermiticity/N=11/raise-refused\n" in out
+    assert out.endswith("29/29 checks passed\n")
     heisenberg = selftest_module._heisenberg(4)
     assert sum(map(bool, heisenberg._apply_plan.masks)) == 6 and heisenberg._pairs is not None
     # the whole op-count contract, derivative applies included
@@ -360,6 +378,9 @@ def test_selftest_negative_control(capsys):
     out = capsys.readouterr().out
     assert any("FAIL" in line and "oracle-triangle" in line for line in out.splitlines())
     assert "FAIL oracle-triangle/D/N=4/heisenberg (" in out
+    # the skew reaches only the triangle circuits
+    assert "ok   hermiticity/N=11/YH-accepted\n" in out
+    assert "ok   hermiticity/N=11/raise-refused\n" in out
 
 
 def test_selftest_negative_control_leaves_concurrent_run_intact():

@@ -274,8 +274,8 @@ def test_singular_gate_reported_with_index():
 
 
 def test_size_mismatch_is_refused_before_hermiticity(monkeypatch):
-    """Deciding Hermiticity would build a group diagonal of 2^24 entries; the
-    mismatched register is refused first."""
+    """The mismatched register is refused before Hermiticity is decided and
+    before any group diagonal of 2^24 entries is built."""
     def refuse(*args):
         raise AssertionError("a group diagonal was built")
 

@@ -8,7 +8,12 @@ import pytest
 import svgrad.statevector as sv
 from conftest import observable_kron_apply, observable_matrix_oracle, random_state
 from svgrad.ansatz import AnsatzSpec, build_ansatz
-from svgrad.gradients import OpCounters, reference_gradient, reverse_mode_gradient
+from svgrad.gradients import (
+    OpCounters,
+    non_hermitian_gradient,
+    reference_gradient,
+    reverse_mode_gradient,
+)
 import svgrad.observable as observable_module
 from svgrad.observable import (
     FACTORS,
@@ -17,7 +22,6 @@ from svgrad.observable import (
     adjoint_observable,
     apply_observable,
     builtin_observable,
-    dense_matrix,
     expectation,
     observable_to_text,
     parse_observable,
@@ -118,7 +122,7 @@ def test_hermitian_flag_past_ten_qubits():
     assert obs.is_hermitian
     assert not Observable(11, ((1, "+" + "I" * 10),)).is_hermitian
     assert not Observable(11, ((1, "ZZ" + "I" * 9), (1e-6j, "X" * 11))).is_hermitian
-    # a raising letter next to H still takes the dense check, capped at ten qubits
+    # a raising letter next to H is expanded in Pauli strings like any other
     assert not Observable(11, ((1, "+" + "I" * 10), (1, "-" + "I" * 9 + "H"))).is_hermitian
     circuit = build_ansatz(AnsatzSpec("D", 11, reps=1))
     theta = np.random.default_rng(95).uniform(-np.pi, np.pi, circuit.num_params)
@@ -128,16 +132,73 @@ def test_hermitian_flag_past_ten_qubits():
     np.testing.assert_allclose(report.values, want.values, rtol=0, atol=1e-10)
 
 
-def test_hermitian_flag_builds_no_dense_matrix_without_h(monkeypatch):
-    def refuse(obs):
-        raise AssertionError("dense_matrix called")
+def test_hermitian_flag_builds_no_group_diagonal(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a group diagonal was built")
 
-    monkeypatch.setattr(observable_module, "dense_matrix", refuse)
+    monkeypatch.setattr(observable_module, "_add_group_diagonal", refuse)
     heisenberg = _heisenberg(10, np.random.default_rng(96))
     # 0.5i|1><0| - 0.5i|0><1| = Y/2 on qubit 0
     extra = ((0.5j, "+" + "I" * 9), (-0.5j, "-" + "I" * 9))
     assert Observable(10, heisenberg.terms + extra).is_hermitian
     assert not Observable(10, heisenberg.terms + extra[:1]).is_hermitian
+
+
+def test_hermitian_flag_with_h_past_ten_qubits():
+    # 0.5i|1><0| - 0.5i|0><1| = Y/2 on qubit 0, times H on qubit 1
+    rest = "I" * 9
+    obs = Observable(11, ((0.5j, "+H" + rest), (-0.5j, "-H" + rest)))
+    assert obs.is_hermitian
+    circuit = build_ansatz(AnsatzSpec("D", 11, reps=1))
+    theta = np.random.default_rng(97).uniform(-np.pi, np.pi, circuit.num_params)
+    rev = reverse_mode_gradient(circuit, theta, obs, init_basis_state(11))
+    nh = non_hermitian_gradient(circuit, theta, obs, init_basis_state(11))
+    np.testing.assert_allclose(rev.values, nh.values, rtol=0, atol=1e-10)
+
+
+def test_hermitian_flag_matches_dense_check():
+    """The Pauli-coefficient rule against the dense matrix and its adjoint,
+    on random observables of up to three qubits, half of them with their
+    adjoint terms appended."""
+    rng = np.random.default_rng(98)
+    letters = np.array(list("IXYZH+-"))
+    verdicts = []
+    for case in range(400):
+        num_qubits = int(rng.integers(1, 4))
+        terms = tuple(
+            (complex(rng.normal(), rng.normal()), "".join(rng.choice(letters, size=num_qubits)))
+            for _ in range(int(rng.integers(1, 5)))
+        )
+        obs = Observable(num_qubits, terms)
+        if case % 2:
+            obs = Observable(num_qubits, terms + adjoint_observable(obs).terms)
+        m = observable_matrix_oracle(obs)
+        atol = 1e-12 * sum(abs(c) for c, _ in obs.terms)
+        dense = bool(np.allclose(m, m.conj().T, rtol=0, atol=atol))
+        assert obs.is_hermitian == dense, obs.terms
+        verdicts.append(dense)
+    assert 100 <= sum(verdicts) <= 300
+
+
+def test_hermitian_flag_allocates_no_state():
+    # |1><0| and |0><1| on qubit 0 of 20: one 2^20 diagonal would be 16 MiB
+    obs = Observable(20, ((0.5j, "+" + "I" * 19), (-0.5j, "-" + "I" * 19)))
+    tracemalloc.start()
+    try:
+        assert obs.is_hermitian
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_hermitian_flag_refuses_past_the_pauli_string_cap():
+    # 2^16 strings are decided; one more letter with two Paulis is refused
+    assert not Observable(16, ((1j, "H" * 16),)).is_hermitian
+    with pytest.raises(ValueError, match="131072 Pauli strings, past the limit of 65536"):
+        Observable(17, ((1j, "H" * 17),)).is_hermitian
+    # real coefficients without + or - need no expansion at any size
+    assert Observable(17, ((1.0, "H" * 17),)).is_hermitian
 
 
 def test_hermitian_expectation_is_real():
@@ -177,7 +238,6 @@ def test_apply_matches_kron_oracle(num_qubits):
     out = apply_observable(state, obs)
     expected = observable_matrix_oracle(obs) @ state.amplitudes
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-11)
-    np.testing.assert_allclose(dense_matrix(obs), observable_matrix_oracle(obs), atol=1e-12)
 
 
 def _apply_observable_with_temporaries(state, obs):
