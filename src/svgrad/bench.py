@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,20 +27,6 @@ METHODS = {
     "reverse": reverse_mode_gradient,
     "reference": reference_gradient,
 }
-
-CSV_COLUMNS = (
-    "family",
-    "num_qubits",
-    "num_params",
-    "method",
-    "repetitions",
-    "mean_runtime_seconds",
-    "stddev_runtime_seconds",
-    "gate_applies",
-    "derivative_applies",
-    "clones",
-    "inner_products",
-)
 
 FIT_COLUMNS = ("fit", "method", "slope", "intercept", "r_squared")
 
@@ -60,6 +46,9 @@ class BenchRecord:
     derivative_applies: int
     clones: int
     inner_products: int
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 @dataclass
@@ -154,7 +143,7 @@ def write_csv(path: str, records: Sequence[BenchRecord], fits: Sequence[ScalingF
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow([getattr(r, col) for col in CSV_COLUMNS])
+            writer.writerow(astuple(r))
         if fits:
             writer.writerow(FIT_COLUMNS)
             for f in fits:

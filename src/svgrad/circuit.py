@@ -456,85 +456,87 @@ def apply_gate_derivative(
 
 # -- text format ---------------------------------------------------------------
 #
-# One gate per line, lowercase, whitespace-separated; `#` starts a comment.
-# First non-comment line `qubits <N>`, second `params <num_params>`, then:
+# One gate per line, lowercase, whitespace-separated:
+# `op [axes] controls... targets... params...`, a qubit as q<i> and a
+# parameter index as p<k> (ASCII digits; indices may repeat across lines).
+# `_OPS` gives each op its gate kind and control count, for parser and writer
+# alike: the op takes controls + 1 qubits and the kind's arity in parameters,
+# and a gate is written under the op whose (kind, control count) equals its
+# own, so an alpha other than -1/2, a user matrix named like a fixed gate, a
+# controlled phase or an entry-wise kind is refused. `rp` is the one op that
+# names its axes, over {x,y,z}, one per target (1 or 2), with no controls:
 #
 #   rx q<t> p<k>   ry ...   rz ...      single-qubit rotations
-#   rp <axes> q<t1> ... q<tm> p<k>      Pauli-product rotation, axes in {x,y,z}^m
+#   rp <axes> q<t1> ... q<tm> p<k>      Pauli-product rotation
 #   phase q<t> p<k>
 #   h q<t>   x ...   y ...   z ...      fixed gates
 #   cx q<c> q<t>                        controlled-X
 #   crx q<c> q<t> p<k>   cry ...  crz ...
-#
-# Parameter indices may repeat across lines.
+_OPS = {
+    **{f"r{a}": (PauliRotation(a.upper()), 0) for a in "xyz"},
+    **{f"cr{a}": (PauliRotation(a.upper()), 1) for a in "xyz"},
+    "phase": (Phase(), 0),
+    **{name: (kind, 0) for name, kind in _FIXED.items()},
+    "cx": (_FIXED["x"], 1),
+}
 
-_ROTATIONS = {"rx": "X", "ry": "Y", "rz": "Z"}
-_CONTROLLED = {"crx": "X", "cry": "Y", "crz": "Z"}
+
+def _lines(text: str):
+    """Yield (1-based line number, tokens) of each line that is not blank once
+    its `#` comment is cut: the line reader of both text formats."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
-def _parse_index(token: str, prefix: str, line: int, what: str) -> int:
-    if not token.startswith(prefix) or not token[len(prefix):].isdigit():
+def _is_number(token: str) -> bool:
+    # str.isdigit alone passes digits such as '²' that int() refuses
+    return token.isascii() and token.isdigit()
+
+
+def _header(tokens: list[str], keyword: str, line: int, error: type[ValueError]) -> int:
+    """The n of a `<keyword> <n>` line; a `qubits` count must be within the
+    qubit cap. Raises ``error(line, message)`` otherwise."""
+    if len(tokens) != 2 or tokens[0] != keyword or not _is_number(tokens[1]):
+        raise error(line, f"expected `{keyword} <n>`, got {' '.join(tokens)!r}")
+    n = int(tokens[1])
+    if keyword == "qubits":
+        try:
+            check_num_qubits(n)
+        except ValueError as exc:
+            raise error(line, str(exc)) from exc
+    return n
+
+
+def _parse_index(token: str, prefix: str, what: str, limit: int, owner: str, line: int) -> int:
+    """The k of a `<prefix>k` token, which must be below ``limit``."""
+    if not token.startswith(prefix) or not _is_number(token[len(prefix):]):
         raise CircuitParseError(line, f"expected {what} token like {prefix}3, got {token!r}")
-    return int(token[len(prefix):])
-
-
-def _parse_header(tokens: list[str], keyword: str, line: int) -> int:
-    if len(tokens) != 2 or tokens[0] != keyword or not tokens[1].isdigit():
-        raise CircuitParseError(line, f"expected `{keyword} <n>`, got {' '.join(tokens)!r}")
-    return int(tokens[1])
+    k = int(token[len(prefix):])
+    if k >= limit:
+        raise CircuitParseError(line, f"{what} {k} out of range ({owner} has {limit})")
+    return k
 
 
 def parse_circuit(text: str) -> Circuit:
     num_qubits: int | None = None
     num_params: int | None = None
     gate_list: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _lines(text):
         if num_qubits is None:
-            num_qubits = _parse_header(tokens, "qubits", lineno)
-            try:
-                check_num_qubits(num_qubits)
-            except ValueError as exc:
-                raise CircuitParseError(lineno, str(exc)) from exc
-            continue
-        if num_params is None:
-            num_params = _parse_header(tokens, "params", lineno)
-            continue
-        try:
+            num_qubits = _header(tokens, "qubits", lineno, CircuitParseError)
+        elif num_params is None:
+            num_params = _header(tokens, "params", lineno, CircuitParseError)
+        else:
             gate_list.append(_parse_gate_line(tokens, lineno, num_qubits, num_params))
-        except CircuitParseError:
-            raise
-        except ValueError as exc:
-            raise CircuitParseError(lineno, str(exc)) from exc
     if num_qubits is None or num_params is None:
         raise CircuitParseError(0, "missing `qubits`/`params` header lines")
     return Circuit(num_qubits, tuple(gate_list), num_params)
 
 
 def _parse_gate_line(tokens: list[str], line: int, num_qubits: int, num_params: int) -> Gate:
-    def qubit(tok: str) -> int:
-        q = _parse_index(tok, "q", line, "qubit")
-        if q >= num_qubits:
-            raise CircuitParseError(line, f"qubit {q} out of range (circuit has {num_qubits})")
-        return q
-
-    def param(tok: str) -> int:
-        p = _parse_index(tok, "p", line, "parameter")
-        if p >= num_params:
-            raise CircuitParseError(line, f"parameter {p} out of range (table has {num_params})")
-        return p
-
-    def want(n: int) -> None:
-        if len(tokens) != n:
-            raise CircuitParseError(line, f"`{tokens[0]}` takes {n - 1} argument(s)")
-
     op = tokens[0]
-    if op in _ROTATIONS:
-        want(3)
-        return Gate(PauliRotation(_ROTATIONS[op]), (qubit(tokens[1]),), (), (param(tokens[2]),))
     if op == "rp":
         if len(tokens) < 4:
             raise CircuitParseError(line, "`rp` takes axes, targets and a parameter")
@@ -543,27 +545,27 @@ def _parse_gate_line(tokens: list[str], line: int, num_qubits: int, num_params: 
             raise CircuitParseError(line, f"axes must be over xyz, got {axes!r}")
         if not 1 <= len(axes) <= 2:
             raise CircuitParseError(line, "`rp` supports 1 or 2 targets")
-        want(3 + len(axes))
-        targets = tuple(qubit(t) for t in tokens[2:-1])
-        return Gate(PauliRotation(axes.upper()), targets, (), (param(tokens[-1]),))
-    if op == "phase":
-        want(3)
-        return Gate(Phase(), (qubit(tokens[1]),), (), (param(tokens[2]),))
-    if op in _FIXED:
-        want(2)
-        return Gate(_FIXED[op], (qubit(tokens[1]),), (), ())
-    if op == "cx":
-        want(3)
-        return Gate(_FIXED["x"], (qubit(tokens[2]),), (qubit(tokens[1]),), ())
-    if op in _CONTROLLED:
-        want(4)
-        return Gate(
-            PauliRotation(_CONTROLLED[op]),
-            (qubit(tokens[2]),),
-            (qubit(tokens[1]),),
-            (param(tokens[3]),),
-        )
-    raise CircuitParseError(line, f"unknown gate {op!r}")
+        kind, controls, width, first = PauliRotation(axes.upper()), 0, len(axes), 2
+    elif op in _OPS:
+        kind, controls = _OPS[op]
+        width, first = controls + 1, 1  # first: the index of the first qubit token
+    else:
+        raise CircuitParseError(line, f"unknown gate {op!r}")
+    arguments = first - 1 + width + kind.arity
+    if len(tokens) != 1 + arguments:
+        raise CircuitParseError(line, f"`{op}` takes {arguments} argument(s)")
+    qubits = [
+        _parse_index(tok, "q", "qubit", num_qubits, "circuit", line)
+        for tok in tokens[first:first + width]
+    ]
+    params = [
+        _parse_index(tok, "p", "parameter", num_params, "table", line)
+        for tok in tokens[first + width:]
+    ]
+    try:
+        return Gate(kind, qubits[controls:], qubits[:controls], params)
+    except ValueError as exc:
+        raise CircuitParseError(line, str(exc)) from exc
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -575,22 +577,12 @@ def circuit_to_text(circuit: Circuit) -> str:
 
 
 def _gate_line(gate: Gate, index: int) -> str:
-    kind = gate.kind
-    if isinstance(kind, PauliRotation) and kind.alpha == -0.5:
-        p = gate.param_refs[0]
-        if len(kind.axes) == 1 and len(gate.controls) == 1:
-            return f"cr{kind.axes.lower()} q{gate.controls[0]} q{gate.targets[0]} p{p}"
-        if not gate.controls:
-            if len(kind.axes) == 1:
-                return f"r{kind.axes.lower()} q{gate.targets[0]} p{p}"
-            targets = " ".join(f"q{t}" for t in gate.targets)
-            return f"rp {kind.axes.lower()} {targets} p{p}"
-    if isinstance(kind, Phase) and not gate.controls:
-        return f"phase q{gate.targets[0]} p{gate.param_refs[0]}"
-    # the shared kind of its name, or one equal to it: a user-named matrix is not `h`
-    if isinstance(kind, FixedUnitary) and kind == _FIXED.get(kind.name):
-        if not gate.controls:
-            return f"{kind.name} q{gate.targets[0]}"
-        if kind.name == "x" and len(gate.controls) == 1:
-            return f"cx q{gate.controls[0]} q{gate.targets[0]}"
+    kind, controls = gate.kind, len(gate.controls)
+    qubits = [f"q{q}" for q in gate.controls + gate.targets]
+    args = " ".join(qubits + [f"p{p}" for p in gate.param_refs])
+    for op, (op_kind, op_controls) in _OPS.items():
+        if op_controls == controls and op_kind == kind:
+            return f"{op} {args}"
+    if isinstance(kind, PauliRotation) and kind.alpha == -0.5 and not controls:
+        return f"rp {kind.axes.lower()} {args}"
     raise ValueError(f"gate {index} ({type(kind).__name__}) is not representable in circuit text")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -41,14 +42,7 @@ def _print_report(report: GradientReport) -> None:
     for k, v in enumerate(report.values):
         print(f"p{k} {v.real:.17g} {v.imag:.17g}")
     c = report.counters
-    print(
-        "counters"
-        f" gate_applies={c.gate_applies}"
-        f" derivative_applies={c.derivative_applies}"
-        f" clones={c.clones}"
-        f" inner_products={c.inner_products}"
-        f" observable_applies={c.observable_applies}"
-    )
+    print("counters", *(f"{f.name}={getattr(c, f.name)}" for f in dataclasses.fields(c)))
 
 
 def _out_of_memory(what: str, n: int, states: int) -> int:
@@ -78,7 +72,9 @@ def _cmd_grad(args: argparse.Namespace) -> int:
         input_state = init_basis_state(circuit.num_qubits)
         if args.method == "reference":
             report = reference_gradient(circuit, params, obs, input_state)
-        elif obs.is_hermitian:
+        # on another register the reverse engine names the mismatch before
+        # anything reads the operator, Hermiticity included
+        elif obs.num_qubits != circuit.num_qubits or obs.is_hermitian:
             report = reverse_mode_gradient(circuit, params, obs, input_state)
         else:
             report = non_hermitian_gradient(circuit, params, obs, input_state)

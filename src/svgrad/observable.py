@@ -67,6 +67,7 @@ import numpy as np
 
 from . import gates as g
 from . import statevector
+from .circuit import _header, _lines
 from .statevector import StateVector, apply_matrix, check_num_qubits, inner_product
 
 FACTORS = {
@@ -413,24 +414,14 @@ BUILTIN_OBSERVABLES = ("hadamard_all", "z_all")
 def parse_observable(text: str) -> Observable:
     """Parse the observable text format.
 
-    First non-comment line is `qubits <N>`; each following line is
-    `<re> <im> <factor-string>`, e.g. `1.0 0.0 ZZII`.
+    Read like circuit text: the first line is `qubits <N>`; each following
+    line is `<re> <im> <factor-string>`, e.g. `1.0 0.0 ZZII`.
     """
     num_qubits: int | None = None
     terms: list[tuple[complex, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _lines(text):
         if num_qubits is None:
-            if len(tokens) != 2 or tokens[0] != "qubits" or not tokens[1].isdigit():
-                raise ObservableParseError(lineno, f"expected `qubits <n>`, got {line!r}")
-            num_qubits = int(tokens[1])
-            try:
-                check_num_qubits(num_qubits)
-            except ValueError as exc:
-                raise ObservableParseError(lineno, str(exc)) from exc
+            num_qubits = _header(tokens, "qubits", lineno, ObservableParseError)
             continue
         if len(tokens) != 3:
             raise ObservableParseError(lineno, "expected `<re> <im> <factors>`")

@@ -1,5 +1,7 @@
 """Benchmark harness: records, CSV layout, log-log fits, count scaling."""
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,14 @@ from svgrad.bench import (
     run_benchmark,
     write_csv,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_csv_header() -> tuple[str, ...]:
+    """The record header as the README's "Benchmark CSV" section spells it."""
+    literal = re.search(r"Header `([^`]*)`", README.read_text(encoding="utf-8")).group(1)
+    return tuple("".join(literal.split()).split(","))
 
 
 def test_records_shape_and_fields():
@@ -84,7 +94,7 @@ def test_csv_layout(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw  # LF line endings
     rows = list(csv.reader(raw.decode("utf-8").splitlines()))
-    assert tuple(rows[0]) == CSV_COLUMNS
+    assert tuple(rows[0]) == _readme_csv_header() == CSV_COLUMNS
     assert len(rows) == 1 + len(records) + 1 + 1
     assert tuple(rows[1 + len(records)]) == FIT_COLUMNS
     assert rows[-1][0] == "fit" and rows[-1][1] == "reverse"

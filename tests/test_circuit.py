@@ -21,6 +21,8 @@ from svgrad.circuit import (
     apply_gate_inverse,
     circuit_to_text,
     crx,
+    cry,
+    crz,
     cx,
     fixed,
     gate_derivative,
@@ -476,33 +478,48 @@ def test_user_named_fixed_gate_is_not_written_as_the_builtin():
 
 @st.composite
 def _text_circuits(draw):
-    """Circuits of helper-built gates and user-built FixedUnitary kinds, some
-    named after a text-format gate with a different matrix, some equal to one."""
+    """Circuits that reach every op of the text format and `rp`, and gates
+    it cannot write: user-built FixedUnitary kinds, some named after a
+    text-format gate with a different matrix, some equal to one, rotations
+    with alpha other than -1/2 and controlled phases."""
     num_qubits = draw(st.integers(2, 3))
     num_params = draw(st.integers(1, 3))
     qubits = st.integers(0, num_qubits - 1)
     param = st.integers(0, num_params - 1)
     gates = []
-    for choice in draw(st.lists(st.integers(0, 4), min_size=1, max_size=8)):
+    for choice in draw(st.lists(st.integers(0, 7), min_size=1, max_size=8)):
         a, b = draw(st.permutations(range(num_qubits)))[:2]
         if choice == 0:
             gates.append(draw(st.sampled_from([rx, ry, rz]))(draw(qubits), draw(param)))
         elif choice == 1:
-            gates.append(crx(a, b, draw(param)))
+            gates.append(draw(st.sampled_from([crx, cry, crz]))(a, b, draw(param)))
         elif choice == 2:
             gates.append(draw(st.sampled_from([fixed(n, a) for n in "hxyz"] + [cx(a, b)])))
-        else:
+        elif choice in (3, 4):
             name = draw(st.sampled_from(["h", "x", "y", "z", "s", ""]))
             matrix = draw(st.sampled_from([H, X, Y, Z, np.diag([1, 1j])]))
             controls = (b,) if choice == 4 else ()
             gates.append(Gate(FixedUnitary(matrix, name), (a,), controls, ()))
+        elif choice == 5:
+            controls = draw(st.sampled_from([(), (b,)]))
+            gates.append(Gate(Phase(), (a,), controls, (draw(param),)))
+        elif choice == 6:
+            axes = draw(st.text("xyz", min_size=1, max_size=2))
+            gates.append(rp(axes, (a, b)[: len(axes)], draw(param)))
+        else:  # alpha -1/2 is the format's own, any other is refused
+            alpha, p = draw(st.sampled_from([-0.5, 0.5, -1.0])), draw(param)
+            made = [rx(a, p, alpha), crz(a, b, p, alpha), rp("zy", (a, b), p, alpha)]
+            gates.append(draw(st.sampled_from(made)))
     return Circuit(num_qubits, tuple(gates), num_params)
 
 
 def _representable(gate):
     kind = gate.kind
-    if not isinstance(kind, FixedUnitary):
-        return True
+    if isinstance(kind, PauliRotation):
+        controlled = len(kind.axes) == 1 and len(gate.controls) == 1
+        return kind.alpha == -0.5 and (not gate.controls or controlled)
+    if isinstance(kind, Phase):
+        return not gate.controls
     builtin = {"h": H, "x": X, "y": Y, "z": Z}.get(kind.name)
     if builtin is None or not np.array_equal(kind.matrix, builtin):
         return False
@@ -512,8 +529,9 @@ def _representable(gate):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_text_circuits())
 def test_text_round_trip_keeps_every_written_gate(circuit):
-    """A written circuit parses back equal; a fixed gate that is not the
-    format's own h, x, y, z or cx is refused instead of renamed."""
+    """A written circuit parses back equal; a gate that no op of the format
+    names, such as a fixed gate that is not its own h, x, y, z or cx, is
+    refused instead of renamed."""
     if all(_representable(gate) for gate in circuit.gates):
         text = circuit_to_text(circuit)
         assert parse_circuit(text) == circuit
@@ -546,6 +564,9 @@ def test_parse_structure():
         ("qubits 2\n\n# hm\nrx q0 p0\n", 4),
         ("qubits 2\nparams 1\ncx q0 q0\n", 3),
         ("qubits 2\nparams 1\nrp xyz q0 q1 q0 p0\n", 3),
+        ("qubits \u00b2\nparams 1\n", 1),  # digits that str.isdigit passes and int() refuses
+        ("qubits 2\nparams \u00b9\n", 2),
+        ("qubits 2\nparams 1\nrx q\u00b9 p0\n", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -553,6 +574,7 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_circuit(text)
     assert err.value.line == line
     assert f"line {line}" in str(err.value)
+    assert "invalid literal" not in str(err.value)  # the format's own wording, not int()'s
 
 
 def test_parse_missing_header():

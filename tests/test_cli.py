@@ -103,18 +103,25 @@ def test_grad_non_hermitian_dispatch(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "qubits,message",
-    [(40, "line 1: 40 qubits exceed the limit of 30"), (24, "observable acts on 24 qubits, circuit on 1")],
+    [
+        (40, "line 1: 40 qubits exceed the limit of 30"),
+        (24, "observable acts on 24 qubits, circuit on 1"),
+        (17, "observable acts on 17 qubits, circuit on 1"),
+    ],
 )
 def test_grad_refuses_an_observable_register_before_expanding_it(
     tmp_path, capsys, monkeypatch, qubits, message
 ):
-    # the mismatch is refused before any 2^N group diagonal is built
+    # the mismatch is refused before any 2^N group diagonal is built, and
+    # before Hermiticity is decided: the 17 H letters would take 2^17 Pauli
+    # strings, past the cap, whose error would name the cap instead
     def refuse(*args):
         raise AssertionError("a group diagonal was built")
 
     monkeypatch.setattr(observable_module, "_add_group_diagonal", refuse)
     circ = write(tmp_path, "ry.circ", RY_CIRCUIT)
-    obs = write(tmp_path, "wide.obs", f"qubits {qubits}\n0 1 Z{'I' * (qubits - 1)}\n")
+    terms = f"0 1 Z{'I' * (qubits - 1)}\n0 1 {'H' * 17}{'I' * (qubits - 17)}\n"
+    obs = write(tmp_path, "wide.obs", f"qubits {qubits}\n{terms}")
     assert cli.main(["grad", circ, obs, "0.3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -671,6 +671,7 @@ def test_parse_comments_and_blanks():
         ("qubits 1\nx 0.0 Z\n", 2),
         ("qubits 2\n1.0 0.0 Z\n", 2),
         ("qubits 1\n1.0 0.0 Q\n", 2),
+        ("qubits \u00b2\n1.0 0.0 Z\n", 1),
     ],
 )
 def test_parse_errors(text, line):
