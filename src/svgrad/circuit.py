@@ -9,7 +9,9 @@ Binding a circuit to a parameter table has a part no parameter changes:
 the rotations grouped by Pauli string, the FixedUnitary matrices with their
 adjoints, and one validated kernel placement plan per gate. That part is
 the circuit's ``CircuitLayout``, built whole on first use and cached on the
-circuit, which stays immutable. The gradient engines' per-call binding
+circuit, which stays immutable. It also marks the diagonal kinds (Rz, CRz,
+Rzz, Phase, z) that bind as 1-D diagonals on a small state, where the
+kernel applies them as one multiply. The gradient engines' per-call binding
 (``svgrad.gradients._bind``) then only evaluates what depends on the
 parameters, each gate's rewind included, once per call, so the reverse
 sweep forms no matrix; the engines hand each gate's plan to the kernel.
@@ -236,6 +238,7 @@ class RotationGroup(NamedTuple):
     gates: tuple[int, ...]  # circuit indices
     param_refs: np.ndarray  # one table index per gate
     alphas: np.ndarray
+    controls: tuple[int, ...]  # each gate's control count
 
 
 class CircuitLayout:
@@ -250,8 +253,18 @@ class CircuitLayout:
     one plan per distinct placement, a read-only, C-contiguous (2^k, M)
     index table of at most 32 KB for the gather kernel or a few small
     tuples for the view kernel, even where the bounded placement cache
-    would evict and rebuild it between two gates. Nothing here is written
-    after construction.
+    would evict and rebuild it between two gates.
+
+    ``diagonal`` marks, gate by gate, the structurally diagonal kinds (a
+    rotation whose axes are all Z, Phase, and a FixedUnitary whose matrix
+    is diagonal, such as z) whose placement takes the gather kernel. The
+    mark comes from the kind, never from bound values, so an Rx at angle 0
+    stays dense. A marked gate binds 1-D forms (``_diagonal_form``; the
+    fixed ones here) and its plan is the read-only, C-contiguous (2^N,)
+    sub-index ``statevector._diagonal_plan``, kept per placement as the
+    tables are, so the gate applies as one multiply. Binding reads the
+    marks from here, so plans and forms cannot disagree. Nothing here is
+    written after construction.
     """
 
     def __init__(self, circuit: Circuit):
@@ -259,18 +272,25 @@ class CircuitLayout:
         fixed: list = [None] * len(gates)
         fixed_adjoints: list = [None] * len(gates)
         by_axes: dict[str, list[int]] = {}
-        per_gate, plans = [], []
-        distinct: dict[tuple, object] = {}  # placement -> its plan
+        per_gate, plans, diagonal = [], [], []
+        distinct: dict[tuple, object] = {}  # (placement, marked) -> its plan
         for i, gate in enumerate(gates):
             placement = gate.targets, gate.controls
-            if placement not in distinct:
-                distinct[placement] = sv._placement(circuit.num_qubits, *placement)
-            plans.append(distinct[placement])
+            if (placement, False) not in distinct:
+                distinct[placement, False] = sv._placement(circuit.num_qubits, *placement)
             kind = gate.kind
+            # the gather kernel's table says the register is below the cut
+            marked = isinstance(distinct[placement, False], np.ndarray) and _is_diagonal(kind)
+            if marked and (placement, True) not in distinct:
+                distinct[placement, True] = sv._diagonal_plan(circuit.num_qubits, *placement)
+            plans.append(distinct[placement, marked])
+            diagonal.append(marked)
             if isinstance(kind, PauliRotation):
                 by_axes.setdefault(kind.axes, []).append(i)
             elif isinstance(kind, FixedUnitary):
                 m = sv.real_if_exact(kind.matrix)
+                if marked:
+                    m = _diagonal_form(m.diagonal(), len(gate.controls))
                 fixed[i], fixed_adjoints[i] = m, m.conj().T
             else:
                 per_gate.append(i)
@@ -280,11 +300,39 @@ class CircuitLayout:
                 tuple(which),
                 np.array([gates[i].param_refs[0] for i in which]),
                 np.array([gates[i].kind.alpha for i in which]),
+                tuple(len(gates[i].controls) for i in which),
             )
             for axes, which in by_axes.items()
         )
         self.fixed, self.fixed_adjoints = tuple(fixed), tuple(fixed_adjoints)
         self.per_gate, self.plans = tuple(per_gate), tuple(plans)
+        self.diagonal = tuple(diagonal)
+
+
+def _is_diagonal(kind: GateKind) -> bool:
+    """Whether every matrix of ``kind`` is diagonal, decided from the kind alone."""
+    if isinstance(kind, PauliRotation):
+        return set(kind.axes) == {"Z"}
+    if isinstance(kind, FixedUnitary):
+        m = kind.matrix
+        return not (m - np.diag(m.diagonal())).any()
+    return isinstance(kind, Phase)
+
+
+def _diagonal_form(diagonal: np.ndarray, num_controls: int) -> np.ndarray:
+    """A marked gate's 1-D bound form from its 2^k diagonal, for
+    ``num_controls`` controls.
+
+    2^(k+c) entries over the sub-index of ``statevector._diagonal_plan``:
+    the diagonal in the last 2^k, where every control is 1, and 1 in the
+    others. Without controls that is ``diagonal`` itself. The conjugate of
+    a form is the form of the adjoint.
+    """
+    if not num_controls:
+        return diagonal
+    form = np.ones(len(diagonal) << num_controls, diagonal.dtype)
+    form[-len(diagonal):] = diagonal
+    return form
 
 
 # -- convenience constructors ------------------------------------------------
@@ -441,7 +489,8 @@ def apply_gate_derivative(
     ``derivative``, when given, must be ``gate_derivative(gate, params,
     which_param)``, which is then applied as is instead of being formed
     again, and ``plan``, when given, the gate's own placement plan, which
-    ``apply_matrix`` then uses unchecked. The matrix is applied with the
+    ``apply_matrix`` then uses unchecked; a gate the circuit's layout marks
+    diagonal passes its 1-D derivative form with its diagonal plan. The matrix is applied with the
     gate's controls, and the closing projection zeroes the amplitudes it
     left alone: the derivative of a controlled gate vanishes there.
     """
@@ -493,6 +542,15 @@ def _lines(text: str):
 def _is_number(token: str) -> bool:
     # str.isdigit alone passes digits such as '²' that int() refuses
     return token.isascii() and token.isdigit()
+
+
+def _to_float(token: str) -> float:
+    """``float(token)`` for an ASCII token without '_', else ValueError:
+    ``float`` alone reads other scripts' digits ('١.٥', '１') and digit
+    group underscores ('1_0')."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
 
 
 def _header(tokens: list[str], keyword: str, line: int, error: type[ValueError]) -> int:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .bench import run_benchmark, write_csv
-from .circuit import NonInvertibleGateError, parse_circuit
+from .circuit import NonInvertibleGateError, _to_float, parse_circuit
 from .gradients import (
     PEAK_STATES,
     GradientReport,
@@ -33,8 +33,14 @@ def _load_params(spec: str) -> np.ndarray:
         with open(spec, encoding="utf-8") as fh:
             tokens = fh.read().split()
     else:
-        tokens = [t for t in spec.split(",") if t.strip()]
-    return np.array([float(t) for t in tokens], dtype=float)
+        tokens = [t.strip() for t in spec.split(",") if t.strip()]
+    values = []
+    for k, token in enumerate(tokens):
+        try:
+            values.append(_to_float(token))
+        except ValueError:
+            raise ValueError(f"bad parameter value p{k}: {token!r}") from None
+    return np.array(values, dtype=float)
 
 
 def _print_report(report: GradientReport) -> None:

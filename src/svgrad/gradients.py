@@ -51,6 +51,7 @@ import numpy as np
 from . import gates as g
 from .circuit import (
     Circuit,
+    _diagonal_form,
     apply_gate_derivative,
     gate_derivative,
     gate_matrix,
@@ -160,8 +161,13 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
     ``gate_derivative`` one by one; a ValueError there names the gate.
     Every matrix with no imaginary part is kept float64 (``real_if_exact``),
     a rotation stack (Ry, or a Pauli string with an odd number of Y) and its
-    derivatives as a whole, so the kernels take their real paths. The
-    rewinds are left to ``_with_rewinds``.
+    derivatives as a whole, so the kernels take their real paths. A gate
+    the layout marks diagonal (``CircuitLayout.diagonal``) binds its
+    matrix, derivative and adjoint as 1-D forms (``_diagonal_form``): an
+    all-Z rotation group takes the diagonals of its one stack, so
+    ``gates.rotation_matrix`` runs once per string as before, and a Phase
+    gate those of its per-gate matrices. The rewinds are left to
+    ``_with_rewinds``, where a 1-D form's adjoint is its conjugate.
     """
     layout = circuit._layout
     matrices = list(layout.fixed)
@@ -169,20 +175,33 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
     adjoints = list(layout.fixed_adjoints) if gradient else None
     for group in layout.rotations:
         stack = real_if_exact(g.rotation_matrix(group.axes, params[group.param_refs], group.alphas))
-        for i, m in zip(group.gates, stack):
+        diagonal = layout.diagonal[group.gates[0]]
+        if diagonal:  # all Z, below the cut: each matrix's diagonal
+            stack = stack.diagonal(0, 1, 2)
+        forms = [stack]
+        if gradient:
+            pauli = g.pauli_product(group.axes)
+            if diagonal:  # of two diagonals, U @ P is U * P; the adjoint's is the conjugate
+                products = (1j * group.alphas)[:, None] * (stack * pauli.diagonal())
+                daggers = stack.conj()
+            else:
+                products = (1j * group.alphas)[:, None, None] * (stack @ pauli)
+                daggers = stack.conj().transpose(0, 2, 1)
+            # not real whenever the stack is: Rx at angle 0 is I, its derivative -i/2 X
+            forms += [real_if_exact(products), daggers]
+        if diagonal and any(group.controls):
+            forms = [[_diagonal_form(d, c) for d, c in zip(f, group.controls)] for f in forms]
+        for i, m in zip(group.gates, forms[0]):
             matrices[i] = m
         if gradient:
-            products = (1j * group.alphas)[:, None, None] * (stack @ g.pauli_product(group.axes))
-            # not real whenever the stack is: Rx at angle 0 is I, its derivative -i/2 X
-            products = real_if_exact(products)
-            for i, d, a in zip(group.gates, products, stack.conj().transpose(0, 2, 1)):
+            for i, d, a in zip(group.gates, forms[1], forms[2]):
                 derivatives[i], adjoints[i] = (d,), a
     for i in layout.per_gate:
-        gate = circuit.gates[i]
-        matrices[i] = _gate_call(i, gate, gate_matrix, params)
+        matrices[i] = _gate_call(circuit, i, gate_matrix, params)
         if gradient:
             derivatives[i] = tuple(
-                _gate_call(i, gate, gate_derivative, params, j) for j in range(gate.kind.arity)
+                _gate_call(circuit, i, gate_derivative, params, j)
+                for j in range(circuit.gates[i].kind.arity)
             )
             adjoints[i] = matrices[i].conj().T
     return _Binding(matrices, derivatives, adjoints, None)
@@ -199,13 +218,18 @@ def _with_rewinds(circuit: Circuit, binding: _Binding) -> _Binding:
     return binding._replace(rewinds=rewinds)
 
 
-def _gate_call(i: int, gate, fn, *args):
-    """``real_if_exact(fn(gate, *args))``, a ValueError prefixed with gate
-    ``i``'s index and kind."""
+def _gate_call(circuit: Circuit, i: int, fn, *args):
+    """``real_if_exact(fn(gate, *args))`` for the circuit's gate ``i``, in
+    its 1-D form when the layout marks the gate diagonal; a ValueError is
+    prefixed with the gate's index and kind."""
+    gate = circuit.gates[i]
     try:
-        return real_if_exact(fn(gate, *args))
+        m = real_if_exact(fn(gate, *args))
     except ValueError as err:
         raise ValueError(f"gate {i} ({type(gate.kind).__name__}): {err}") from err
+    if circuit._layout.diagonal[i]:
+        m = _diagonal_form(m.diagonal(), len(gate.controls))
+    return m
 
 
 def _forward(state: StateVector, gates, matrices, plans, counters: OpCounters) -> None:
@@ -422,7 +446,7 @@ def finite_difference_gradient(
             shifted[k] = value
             tail = matrices[f:]
             for i in readers[k]:
-                tail[i - f] = _gate_call(i, gates[i], gate_matrix, shifted)
+                tail[i - f] = _gate_call(circuit, i, gate_matrix, shifted)
             state = clone_state(prefix, counters)
             _forward(state, gates[f:], tail, plans[f:], counters)
             plus_minus.append(expectation(state, obs, counters))

@@ -67,7 +67,7 @@ import numpy as np
 
 from . import gates as g
 from . import statevector
-from .circuit import _header, _lines
+from .circuit import _header, _lines, _to_float
 from .statevector import StateVector, apply_matrix, check_num_qubits, inner_product
 
 FACTORS = {
@@ -426,7 +426,7 @@ def parse_observable(text: str) -> Observable:
         if len(tokens) != 3:
             raise ObservableParseError(lineno, "expected `<re> <im> <factors>`")
         try:
-            coeff = complex(float(tokens[0]), float(tokens[1]))
+            coeff = complex(_to_float(tokens[0]), _to_float(tokens[1]))
         except ValueError as exc:
             raise ObservableParseError(lineno, f"bad coefficient: {exc}") from exc
         try:

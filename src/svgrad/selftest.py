@@ -11,7 +11,18 @@ from functools import partial
 import numpy as np
 
 from .ansatz import FAMILIES, AnsatzSpec, build_ansatz
-from .circuit import Circuit, CustomParametric, PauliRotation, rx
+from .circuit import (
+    Circuit,
+    CustomParametric,
+    PauliRotation,
+    crz,
+    cx,
+    fixed,
+    phase_gate,
+    rp,
+    rx,
+    ry,
+)
 from .gates import pauli_product, rotation_matrix
 from .gradients import (
     finite_difference_gradient,
@@ -73,20 +84,36 @@ def _heisenberg(num_qubits: int) -> Observable:
     return Observable(num_qubits, tuple(terms))
 
 
+def _diagonal_circuit() -> Circuit:
+    """crz, Rzz, Phase and z between two Ry layers on 4 qubits, with a cx:
+    the diagonal kinds the families do not hold but uncontrolled Rz."""
+    gates = (
+        *(ry(q, q) for q in range(4)),
+        crz(0, 1, 4),
+        rp("ZZ", (1, 3), 5),
+        phase_gate(2, 6),
+        fixed("z", 0),
+        cx(1, 2),
+        *(ry(q, 7 + q) for q in range(4)),
+    )
+    return Circuit(4, gates, 11)
+
+
 def _triangle_cases():
-    """(check name, ansatz, observable) of every oracle-triangle check."""
+    """(check name, circuit, observable) of every oracle-triangle check."""
     for num_qubits in (3, 4):
         obs = builtin_observable("z_all", num_qubits)
         for family in FAMILIES:
-            yield f"oracle-triangle/{family}/N={num_qubits}", AnsatzSpec(family, num_qubits, 2), obs
-    yield "oracle-triangle/D/N=4/heisenberg", AnsatzSpec("D", 4, 2), _heisenberg(4)
+            circuit = build_ansatz(AnsatzSpec(family, num_qubits, 2))
+            yield f"oracle-triangle/{family}/N={num_qubits}", circuit, obs
+    yield "oracle-triangle/D/N=4/heisenberg", build_ansatz(AnsatzSpec("D", 4, 2)), _heisenberg(4)
+    yield "oracle-triangle/diagonal/N=4", _diagonal_circuit(), builtin_observable("z_all", 4)
 
 
 def _triangle_checks(rng: np.random.Generator, perturb_derivative: bool) -> list[CheckResult]:
     results = []
-    for name, spec, obs in _triangle_cases():
-        input_state = init_basis_state(spec.num_qubits)
-        circuit = build_ansatz(spec)
+    for name, circuit, obs in _triangle_cases():
+        input_state = init_basis_state(circuit.num_qubits)
         if perturb_derivative:
             circuit = _skew_derivatives(circuit)
         theta = rng.uniform(0.0, 2.0 * np.pi, circuit.num_params)

@@ -52,12 +52,19 @@ parts alike, in place of a complex product. Both kernels read realness
 from the dtype alone; ``real_if_exact`` decides it once per matrix, at
 binding or in ``apply_matrix``'s checks, so a complex-typed real matrix
 such as ``gates.H`` takes the real paths too. A per-call test of the
-entries would cost most of a small apply.
+entries would cost most of a small apply. A diagonal gate (Rz, CRz, Rzz,
+Phase, Z) skips the product: the gradient engines bind it as a 1-D form
+of 2^(k+c) entries, its diagonal where every control is 1 and 1
+elsewhere, and its plan is ``_diagonal_plan``, each amplitude's sub-index
+over the targets and then the controls, so the apply is one multiply,
+``amps *= m[plan]``. Above the cut the view kernel already scales the
+halves of a diagonal in place.
 
 Each placement (qubit count, targets, controls) is validated once. Its
 plan sits in a bounded, read-only cache: the gather kernel's index table
 of at most 32 KB, or the view kernel's shape, control index and target
-axes, whichever the qubit count picks. An invalid placement raises and is
+axes, whichever the qubit count picks; a diagonal plan, also at most
+32 KB, sits in a cache of its own. An invalid placement raises and is
 never cached. Without a plan, a repeated gate costs a matrix-shape check,
 the cache lookup and the kernel body. A caller that already holds the
 plan and a complex or float64 matrix of the right shape passes both to
@@ -274,6 +281,23 @@ def _placement(num_qubits: int, targets: tuple, controls: tuple):
     return groups
 
 
+@lru_cache(maxsize=256)  # at most 32 KB each, as the gather tables
+def _diagonal_plan(num_qubits: int, targets: tuple, controls: tuple) -> np.ndarray:
+    """The gather kernel's plan for a diagonal gate: each amplitude's sub-index.
+
+    A read-only, C-contiguous (2^N,) intp array whose entry i has bit j set
+    to bit ``targets[j]`` of i, and the controls' bits above those, in
+    order; ``m[plan]`` then spreads a 1-D form of 2^(k+c) entries over the
+    register. The placement must be valid (``_placement`` checks it).
+    """
+    index = np.arange(1 << num_qubits, dtype=np.intp)
+    plan = np.zeros_like(index)
+    for j, q in enumerate(targets + controls):
+        plan |= ((index >> q) & 1) << j
+    plan.flags.writeable = False
+    return plan
+
+
 def real_if_exact(m: np.ndarray) -> np.ndarray:
     """A C-contiguous float64 copy of ``m.real`` when ``m`` has no imaginary
     part, else ``m`` itself.
@@ -307,7 +331,13 @@ def apply_matrix(
     ``_placement(state.num_qubits, targets, controls)``, with ``targets``
     and ``controls`` tuples and ``m`` a finite complex or float64 2^k x 2^k
     array: the call then checks nothing and runs the kernel body alone. A
-    float64 ``m`` takes the real paths of either kernel.
+    float64 ``m`` takes the real paths of either kernel. For a placement
+    that takes the gather kernel, the pair may instead be
+    ``_diagonal_plan(state.num_qubits, targets, controls)`` and a finite 1-D
+    ``m`` of 2^(k+c) entries for c controls: every amplitude is multiplied
+    by ``m`` at its sub-index, so ``m`` holds the diagonal of the 2^k x 2^k
+    matrix in its last 2^k entries and 1 in the others. Without a plan a
+    1-D ``m`` is refused.
     """
     if plan is None:
         targets, controls = tuple(targets), tuple(controls)
@@ -322,7 +352,9 @@ def apply_matrix(
             bad = np.argwhere(~np.isfinite(m)).tolist()
             raise ValueError(f"matrix has non-finite entries at (row, column) {bad}")
     amps = state.amplitudes
-    if isinstance(plan, np.ndarray):  # the gather kernel's index table
+    if m.ndim == 1:  # a diagonal gate's 1-D form, on its diagonal plan
+        amps *= m[plan]
+    elif isinstance(plan, np.ndarray):  # the gather kernel's index table
         if m.dtype == np.float64:
             # a real matrix acts on real and imaginary parts alike
             amps[plan] = m.dot(amps[plan].view(np.float64)).view(complex)

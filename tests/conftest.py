@@ -41,18 +41,20 @@ def kernel_choice(kernel: str):
     """Run the block with small states on the "gather" or the "views" kernel.
 
     Sets ``statevector._GATHER_MAX_AMPS`` (0 sends every state to the view
-    kernel) and clears the placement cache on entry and on exit: a cached
-    plan keeps the kernel it was built for, so a plan of the other kernel
-    must not leak in or out.
+    kernel) and clears the placement and diagonal-plan caches on entry and
+    on exit: a cached plan keeps the kernel it was built for, so a plan of
+    the other kernel must not leak in or out.
     """
     default = sv._GATHER_MAX_AMPS
     sv._placement.cache_clear()
+    sv._diagonal_plan.cache_clear()
     sv._GATHER_MAX_AMPS = {"gather": default, "views": 0}[kernel]
     try:
         yield
     finally:
         sv._GATHER_MAX_AMPS = default
         sv._placement.cache_clear()
+        sv._diagonal_plan.cache_clear()
 
 
 @pytest.fixture(params=["gather", "views"])
@@ -162,14 +164,15 @@ def finite_difference_literal(
     """Central differences by two full evaluations per parameter, and the energy.
 
     Each evaluation clones the input, runs every gate with the matrices bound
-    to its table and takes the expectation: the schedule the shared-prefix
-    engine must reproduce bit for bit.
+    to its table, each on its layout plan, and takes the expectation: the
+    schedule the shared-prefix engine must reproduce bit for bit.
     """
 
     def evaluate(theta):
         state = clone_state(input_state)
-        for gate, m in zip(circuit.gates, _bind(circuit, theta).matrices):
-            apply_matrix(state, m, gate.targets, gate.controls)
+        bound = zip(circuit.gates, _bind(circuit, theta).matrices, circuit._layout.plans)
+        for gate, m, plan in bound:
+            apply_matrix(state, m, gate.targets, gate.controls, plan=plan)
         return expectation(state, obs)
 
     params = np.asarray(params, dtype=float)

@@ -149,6 +149,23 @@ def test_grad_dimension_mismatch(tmp_path, capsys):
     assert cli.main(["grad", circ, "z_all", "0.1,0.2"]) == 2
 
 
+def test_grad_refuses_a_digit_group_underscore(tmp_path, capsys):
+    circ = write(tmp_path, "ryrz.circ", "qubits 1\nparams 2\nry q0 p0\nrz q0 p1\n")
+    assert cli.main(["grad", circ, "z_all", "0.1,1_0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad parameter value p1: '1_0'\n"
+
+
+def test_grad_refuses_a_non_ascii_digit_in_a_params_file(tmp_path, capsys):
+    circ = write(tmp_path, "ryrz.circ", "qubits 1\nparams 2\nry q0 p0\nrz q0 p1\n")
+    params = write(tmp_path, "theta.txt", "0.5 \u0661\n")
+    assert cli.main(["grad", circ, "z_all", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad parameter value p1: '\u0661'\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_grad_non_finite_parameter(tmp_path, capsys, value):
     circ = write(tmp_path, "ry.circ", RY_CIRCUIT)
@@ -370,7 +387,9 @@ def test_selftest_passes(capsys):
     # both Hermiticity decisions past ten qubits
     assert "ok   hermiticity/N=11/YH-accepted\n" in out
     assert "ok   hermiticity/N=11/raise-refused\n" in out
-    assert out.endswith("29/29 checks passed\n")
+    # crz, Rzz, Phase and z, which bind as diagonals at N=4
+    assert "ok   oracle-triangle/diagonal/N=4\n" in out
+    assert out.endswith("30/30 checks passed\n")
     heisenberg = selftest_module._heisenberg(4)
     assert sum(map(bool, heisenberg._apply_plan.masks)) == 6 and heisenberg._pairs is not None
     # the whole op-count contract, derivative applies included
@@ -385,6 +404,7 @@ def test_selftest_negative_control(capsys):
     out = capsys.readouterr().out
     assert any("FAIL" in line and "oracle-triangle" in line for line in out.splitlines())
     assert "FAIL oracle-triangle/D/N=4/heisenberg (" in out
+    assert "FAIL oracle-triangle/diagonal/N=4 (" in out
     # the skew reaches only the triangle circuits
     assert "ok   hermiticity/N=11/YH-accepted\n" in out
     assert "ok   hermiticity/N=11/raise-refused\n" in out

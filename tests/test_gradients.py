@@ -12,7 +12,7 @@ import svgrad.gates as gates_module
 import svgrad.gradients as gradients_module
 import svgrad.observable as observable_module
 import svgrad.statevector as sv
-from conftest import expectation_oracle, finite_difference_literal, random_state
+from conftest import expectation_oracle, finite_difference_literal, kernel_choice, random_state
 from svgrad.ansatz import FAMILIES, AnsatzSpec, build_ansatz
 from svgrad.circuit import (
     Circuit,
@@ -25,6 +25,7 @@ from svgrad.circuit import (
     Phase,
     crx,
     cry,
+    crz,
     cx,
     fixed,
     gate_derivative,
@@ -163,6 +164,59 @@ def test_oracle_triangle(family, num_qubits):
         fd = finite_difference_gradient(circuit, theta, obs, inp, delta=1e-5).values
         assert np.abs(rev - ref).max() <= 1e-11
         assert np.abs(rev - fd).max() <= 1e-6
+
+
+def _diagonal_heavy_circuit(num_qubits: int) -> Circuit:
+    """Rz, crz with one and two controls, Rzz (one controlled), Phase and z
+    between two Ry layers, with a cx, on the two lowest and two highest qubits."""
+    a, b, c, d = 0, 1, num_qubits - 2, num_qubits - 1
+    gates = (
+        *(ry(q, k) for k, q in enumerate((a, b, c, d))),
+        crz(a, b, 4),
+        Gate(PauliRotation("Z"), (c,), (a, d), (5,)),
+        rp("ZZ", (b, d), 6),
+        phase_gate(c, 7),
+        fixed("z", a),
+        cx(b, c),
+        rz(d, 8),
+        crz(d, a, 4),  # a repeated parameter
+        Gate(PauliRotation("ZZ", 0.25), (c, a), (b,), (9,)),
+        *(ry(q, 10 + k) for k, q in enumerate((a, b, c, d))),
+    )
+    return Circuit(num_qubits, gates, 14)
+
+
+@pytest.mark.parametrize("num_qubits", [4, 13])  # diagonal plans; the view kernel
+def test_oracle_triangle_on_diagonal_gates(num_qubits):
+    circuit = _diagonal_heavy_circuit(num_qubits)
+    assert sum(circuit._layout.diagonal) == (8 if num_qubits == 4 else 0)
+    rng = np.random.default_rng([65, num_qubits])
+    theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
+
+    def term(*letters):
+        factors = ["I"] * num_qubits
+        for q, letter in letters:
+            factors[q] = letter
+        return "".join(factors)
+
+    c, d = num_qubits - 2, num_qubits - 1
+    obs = Observable(num_qubits, (
+        (0.5, term((0, "X"), (c, "Y"))),
+        (-1.25, term((1, "Y"), (d, "X"))),
+        (0.75, term((0, "Z"), (d, "Z"))),
+    ))
+    state = random_state(num_qubits, rng)
+    rev = reverse_mode_gradient(circuit, theta, obs, state)
+    ref = reference_gradient(circuit, theta, obs, state)
+    fd = finite_difference_gradient(circuit, theta, obs, state)
+    assert np.abs(rev.values - ref.values).max() <= 1e-11
+    assert np.abs(rev.values - fd.values).max() <= 1e-6
+    num_gates = len(circuit.gates)
+    uses = sum(len(gate.param_refs) for gate in circuit.gates)
+    assert rev.counters == OpCounters(3 * num_gates - 1, uses, uses + 2, uses, 1)
+    assert ref.counters == OpCounters(num_gates + uses * (num_gates - 1), uses, uses + 1, uses, 1)
+    if num_qubits == 4:
+        _assert_fd_is_literal(circuit, theta, obs, state)
 
 
 def test_gradient_matches_dense_fd_oracle():
@@ -919,6 +973,27 @@ def test_layout_gather_plans_are_contiguous(spec):
     assert all(isinstance(plan, np.ndarray) and plan.flags.c_contiguous for plan in plans)
 
 
+def _diagonal_kind(kind) -> bool:
+    """Rotations whose axes are all Z, Phase and a diagonal fixed matrix."""
+    if isinstance(kind, PauliRotation):
+        return set(kind.axes) == {"Z"}
+    if isinstance(kind, FixedUnitary):
+        return np.array_equal(kind.matrix, np.diag(np.diagonal(kind.matrix)))
+    return isinstance(kind, Phase)
+
+
+def _dense(form: np.ndarray, gate: Gate) -> np.ndarray:
+    """A bound form as its 2^k x 2^k matrix. A 2-D form is returned as it is;
+    a diagonal gate's 1-D form must hold 1 wherever a control is 0 and
+    becomes the diagonal matrix of its last 2^k entries."""
+    if form.ndim == 2:
+        return form
+    dim = 1 << len(gate.targets)
+    assert form.shape == (dim << len(gate.controls),)
+    np.testing.assert_array_equal(form[:-dim], 1)
+    return np.diag(form[-dim:])
+
+
 def test_plan_matches_the_per_gate_api(kernel):
     circuit = _mixed_circuit()
     params = np.random.default_rng(47).uniform(-np.pi, np.pi, circuit.num_params)
@@ -930,13 +1005,19 @@ def test_plan_matches_the_per_gate_api(kernel):
     assert matrices_only.rewinds is None
     axes_seen = set()
     for i, gate in enumerate(circuit.gates):
+        # below the cut every diagonal kind binds 1-D forms on its diagonal plan
+        marked = kernel == "gather" and _diagonal_kind(gate.kind)
+        assert circuit._layout.diagonal[i] == marked
+        assert bound.matrices[i].ndim == (1 if marked else 2)
         m = gate_matrix(gate, params)
-        np.testing.assert_allclose(bound.matrices[i], m, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_dense(bound.matrices[i], gate), m, rtol=0, atol=1e-15)
         # the bra rewinds with the plan's adjoints, the ket with the adjoint
         # or, for a NonUnitary gate, the inverse of the plan's matrix
         np.testing.assert_array_equal(bound.adjoints[i], bound.matrices[i].conj().T)
         rewind = rewind_matrix(gate, bound.matrices[i])
-        np.testing.assert_allclose(rewind, rewind_matrix(gate, m), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            _dense(rewind, gate), rewind_matrix(gate, m), rtol=0, atol=1e-15
+        )
         np.testing.assert_array_equal(bound.rewinds[i], rewind)
         if isinstance(gate.kind, NonUnitary):
             # diag(1, 2) Ry is real, and so are its inverse and derivative
@@ -945,16 +1026,19 @@ def test_plan_matches_the_per_gate_api(kernel):
         assert (i in circuit._layout.per_gate) == bound_one_by_one
         np.testing.assert_array_equal(matrices_only.matrices[i], bound.matrices[i])
         plan = circuit._layout.plans[i]
-        assert plan is sv._placement(3, gate.targets, gate.controls)
+        build = sv._diagonal_plan if marked else sv._placement
+        assert plan is build(3, gate.targets, gate.controls)
         assert isinstance(plan, np.ndarray) == (kernel == "gather")
         assert len(bound.derivatives[i]) == gate.kind.arity
         for j, derivative in enumerate(bound.derivatives[i]):
             expected = gate_derivative(gate, params, j)
-            np.testing.assert_allclose(derivative, expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(_dense(derivative, gate), expected, rtol=0, atol=1e-15)
         if isinstance(gate.kind, PauliRotation):
             axes_seen.add((gate.kind.axes, gate.kind.alpha, bool(gate.controls)))
             expected = gate.kind.alpha * 1j * (m @ pauli_product(gate.kind.axes))
-            np.testing.assert_allclose(bound.derivatives[i][0], expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                _dense(bound.derivatives[i][0], gate), expected, rtol=0, atol=1e-15
+            )
     assert {axes for axes, _, _ in axes_seen} == {"X", "Y", "Z", "XY", "ZZ"}
     assert {alpha for _, alpha, _ in axes_seen} == {-0.5, 0.25}
     assert {controlled for _, _, controlled in axes_seen} == {False, True}
@@ -981,32 +1065,44 @@ def test_bind_keeps_exactly_real_matrices_float64():
     real NonUnitary gate bind as float64, derivatives, adjoints and rewinds
     included, so the kernels take their real paths; every other matrix stays
     complex. Realness is decided per Pauli-string stack: the one Rx, at
-    angle 0, is the identity, but its derivative -i/2 X is not real."""
+    angle 0, is the identity, but its derivative -i/2 X is not real. Rz, z
+    and Phase bind 1-D forms below the cut and 2-D matrices above it (the
+    view kernel); each expands exactly to the per-gate matrix."""
     gates = (
         ry(0, 0), cry(1, 0, 1), rp("XY", (0, 1), 2), rp("YY", (1, 2), 3), rz(2, 4), rz(0, 5),
         rx(1, 6), cx(0, 1), fixed("h", 2), fixed("z", 0), fixed("y", 1), phase_gate(0, 0),
         Gate(NonUnitary(_scaled_ry, 1), (2,), (0,), (1,)),
     )
-    circuit = Circuit(3, gates, 7)
     params = np.array([0.3, -1.2, 0.8, 2.1, 0.4, -0.6, 0.0])
-    bound = gradients_module._with_rewinds(
-        circuit, gradients_module._bind(circuit, params, gradient=True)
-    )
     real_matrices = {0, 1, 2, 6, 7, 8, 9, 12}
     real_derivatives = {0, 1, 2, 12}
-    for i, gate in enumerate(gates):
-        want = np.float64 if i in real_matrices else np.complex128
-        assert bound.matrices[i].dtype == want, i
-        assert bound.adjoints[i].dtype == want, i
-        assert bound.rewinds[i].dtype == want, i
-        np.testing.assert_array_equal(bound.matrices[i], gate_matrix(gate, params))
-        np.testing.assert_array_equal(bound.adjoints[i], bound.matrices[i].conj().T)
-        np.testing.assert_array_equal(bound.rewinds[i], rewind_matrix(gate, bound.matrices[i]))
-        for derivative in bound.derivatives[i]:
-            want = np.float64 if i in real_derivatives else np.complex128
-            assert derivative.dtype == want, i
-            np.testing.assert_array_equal(derivative, gate_derivative(gate, params))
-    assert gradients_module._bind(circuit, params).matrices[0].dtype == np.float64
+    for kernel in ("gather", "views"):
+        with kernel_choice(kernel):
+            circuit = Circuit(3, gates, 7)
+            bound = gradients_module._with_rewinds(
+                circuit, gradients_module._bind(circuit, params, gradient=True)
+            )
+            matrices_only = gradients_module._bind(circuit, params).matrices
+        diagonal = {4, 5, 9, 11} if kernel == "gather" else set()
+        for i, gate in enumerate(gates):
+            want = np.float64 if i in real_matrices else np.complex128
+            assert bound.matrices[i].dtype == want, i
+            assert bound.adjoints[i].dtype == want, i
+            assert bound.rewinds[i].dtype == want, i
+            for form in (bound.matrices[i], bound.adjoints[i], bound.rewinds[i]):
+                assert form.ndim == (1 if i in diagonal else 2), i
+            m = _dense(bound.matrices[i], gate)
+            np.testing.assert_array_equal(m, gate_matrix(gate, params))
+            np.testing.assert_array_equal(_dense(bound.adjoints[i], gate), m.conj().T)
+            np.testing.assert_array_equal(_dense(bound.rewinds[i], gate), rewind_matrix(gate, m))
+            for derivative in bound.derivatives[i]:
+                want = np.float64 if i in real_derivatives else np.complex128
+                assert derivative.dtype == want, i
+                assert derivative.ndim == (1 if i in diagonal else 2), i
+                np.testing.assert_array_equal(
+                    _dense(derivative, gate), gate_derivative(gate, params)
+                )
+        assert matrices_only[0].dtype == np.float64
 
 
 def test_fixed_gate_from_a_nested_list_runs_every_engine():
@@ -1035,6 +1131,7 @@ def test_second_call_validates_no_placement(monkeypatch):
         raise AssertionError(f"placement {args} validated again")
 
     monkeypatch.setattr(sv, "_placement", refuse)
+    monkeypatch.setattr(sv, "_diagonal_plan", refuse)
     for engine, first in zip(engines, warm):
         again = engine(circuit, params, obs, state)
         np.testing.assert_array_equal(again.values, first.values)

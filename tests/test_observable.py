@@ -672,6 +672,11 @@ def test_parse_comments_and_blanks():
         ("qubits 2\n1.0 0.0 Z\n", 2),
         ("qubits 1\n1.0 0.0 Q\n", 2),
         ("qubits \u00b2\n1.0 0.0 Z\n", 1),
+        # float() alone reads other scripts' digits and digit group underscores
+        ("qubits 1\n\u0661.\u0665 0 Z\n", 2),
+        ("qubits 1\n1_0 0 Z\n", 2),
+        ("qubits 1\n0 1_0 Z\n", 2),
+        ("qubits 1\n\uff11 0 Z\n", 2),
     ],
 )
 def test_parse_errors(text, line):

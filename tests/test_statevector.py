@@ -405,6 +405,57 @@ def test_float64_matrix_matches_its_complex_form(num_qubits):
                 )
 
 
+def _check_diagonal_plan(num_qubits, targets, controls, amps, rng) -> None:
+    """The diagonal plan is a read-only, C-contiguous (2^N,) intp array, and
+    a 1-D form on it gives what the gather kernel's product of the 2-D
+    diagonal matrix gives."""
+    plan = sv._diagonal_plan.__wrapped__(num_qubits, targets, controls)
+    assert isinstance(plan, np.ndarray) and plan.dtype == np.intp
+    assert plan.shape == (1 << num_qubits,)
+    assert plan.flags.c_contiguous and not plan.flags.writeable
+    dim = 1 << len(targets)
+    diagonal = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+    # 1 wherever a control is 0, the diagonal where every control is 1
+    form = np.concatenate([np.ones((dim << len(controls)) - dim), diagonal])
+    got = StateVector(num_qubits, amps.copy())
+    apply_matrix(got, form, targets, controls, plan=plan)
+    want = StateVector(num_qubits, amps.copy())
+    table = sv._placement(num_qubits, targets, controls)
+    assert isinstance(table, np.ndarray)
+    apply_matrix(want, np.diag(diagonal), targets, controls, plan=table)
+    np.testing.assert_allclose(
+        got.amplitudes, want.amplitudes, rtol=0, atol=1e-15,
+        err_msg=f"targets={targets} controls={controls}",
+    )
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+def test_every_diagonal_placement_matches_the_gather_product(num_qubits):
+    rng = np.random.default_rng([73, num_qubits])
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    amps /= np.linalg.norm(amps)
+    for num_targets in (1, 2):
+        for targets, controls in _placements(num_qubits, num_targets):
+            _check_diagonal_plan(num_qubits, targets, controls, amps, rng)
+
+
+@pytest.mark.parametrize("targets,controls", [
+    ((0,), ()),
+    ((11,), (0,)),
+    ((6,), (0, 11)),
+    ((0, 11), ()),
+    ((11, 0), (5,)),
+    ((1, 3), (0, 2)),
+])
+def test_diagonal_plans_at_the_cut(targets, controls):
+    # N=12 is the largest state with a gather table, so with a diagonal plan
+    assert 1 << 12 == sv._GATHER_MAX_AMPS
+    rng = np.random.default_rng([74, *targets, *controls])
+    amps = rng.normal(size=1 << 12) + 1j * rng.normal(size=1 << 12)
+    amps /= np.linalg.norm(amps)
+    _check_diagonal_plan(12, targets, controls, amps, rng)
+
+
 @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6, 7])
 def test_every_projection_matches_bit_oracle(num_qubits):
     rng = np.random.default_rng(num_qubits)
