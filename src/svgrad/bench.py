@@ -82,6 +82,11 @@ def run_benchmark(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}, expected one of {sorted(METHODS)}")
+    # one row per (depth, method) and one fit row per method
+    for what, values in (("method", list(methods)), ("repetition depth", list(reps_values))):
+        repeated = dict.fromkeys(v for i, v in enumerate(values) if v in values[:i])
+        if repeated:
+            raise ValueError(f"repeated {what}: {', '.join(map(str, repeated))}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
     rng = np.random.default_rng(seed)

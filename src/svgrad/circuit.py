@@ -10,11 +10,12 @@ the rotations grouped by Pauli string, the FixedUnitary matrices with their
 adjoints, and one validated kernel placement plan per gate. That part is
 the circuit's ``CircuitLayout``, built whole on first use and cached on the
 circuit, which stays immutable. It also marks the diagonal kinds (Rz, CRz,
-Rzz, Phase, z) that bind as 1-D diagonals on a small state, where the
-kernel applies them as one multiply. The gradient engines' per-call binding
-(``svgrad.gradients._bind``) then only evaluates what depends on the
-parameters, each gate's rewind included, once per call, so the reverse
-sweep forms no matrix; the engines hand each gate's plan to the kernel.
+Rzz, Phase, z) that bind as their diagonal and a closing 1 on a small
+state, where the kernel applies them as one multiply. The gradient
+engines' per-call binding (``svgrad.gradients._bind``) then only evaluates
+what depends on the parameters, each gate's rewind included, once per
+call, so the reverse sweep forms no matrix; the engines hand each gate's
+plan to the kernel.
 
 Each gate has one action (``apply_gate``), one undo (``apply_gate_inverse``,
 from ``rewind_matrix``: the adjoint, or a NonUnitary gate's true inverse)
@@ -216,6 +217,7 @@ class Circuit:
     num_params: int
 
     def __post_init__(self):
+        check_num_qubits(self.num_qubits)
         object.__setattr__(self, "gates", tuple(self.gates))
         for i, gate in enumerate(self.gates):
             for q in gate.targets + gate.controls:
@@ -238,7 +240,6 @@ class RotationGroup(NamedTuple):
     gates: tuple[int, ...]  # circuit indices
     param_refs: np.ndarray  # one table index per gate
     alphas: np.ndarray
-    controls: tuple[int, ...]  # each gate's control count
 
 
 class CircuitLayout:
@@ -249,22 +250,19 @@ class CircuitLayout:
     as x, h, z and cx's X, so the gather kernel takes a real product), the
     gates whose matrices and derivatives are bound one by one (Phase,
     CustomParametric, NonUnitary), and each gate's validated placement plan
-    (``plans``) for the kernel the register size picks. The layout keeps
-    one plan per distinct placement, a read-only, C-contiguous (2^k, M)
-    index table of at most 32 KB for the gather kernel or a few small
-    tuples for the view kernel, even where the bounded placement cache
-    would evict and rebuild it between two gates.
+    (``plans``, from ``statevector._placement``) for the kernel the
+    register size picks. The layout keeps one plan per distinct placement
+    and form, even where the bounded placement cache would evict and
+    rebuild it between two gates.
 
-    ``diagonal`` marks, gate by gate, the structurally diagonal kinds (a
-    rotation whose axes are all Z, Phase, and a FixedUnitary whose matrix
-    is diagonal, such as z) whose placement takes the gather kernel. The
-    mark comes from the kind, never from bound values, so an Rx at angle 0
-    stays dense. A marked gate binds 1-D forms (``_diagonal_form``; the
-    fixed ones here) and its plan is the read-only, C-contiguous (2^N,)
-    sub-index ``statevector._diagonal_plan``, kept per placement as the
-    tables are, so the gate applies as one multiply. Binding reads the
-    marks from here, so plans and forms cannot disagree. Nothing here is
-    written after construction.
+    The structurally diagonal kinds (a rotation whose axes are all Z,
+    Phase, and a FixedUnitary whose matrix is diagonal, such as z) ask for
+    their placement's diagonal plan, and ``diagonal`` marks, gate by gate,
+    that the plan is the 1-D index of a small state. The kind decides,
+    never bound values, so an Rx at angle 0 stays dense. A marked gate
+    binds 1-D forms (``_diagonal_form``; the fixed ones here), so it
+    applies as one multiply. Binding reads the marks from here, so plans
+    and forms cannot disagree. Nothing here is written after construction.
     """
 
     def __init__(self, circuit: Circuit):
@@ -273,24 +271,22 @@ class CircuitLayout:
         fixed_adjoints: list = [None] * len(gates)
         by_axes: dict[str, list[int]] = {}
         per_gate, plans, diagonal = [], [], []
-        distinct: dict[tuple, object] = {}  # (placement, marked) -> its plan
+        distinct: dict[tuple, object] = {}  # (targets, controls, diagonal kind) -> its plan
         for i, gate in enumerate(gates):
-            placement = gate.targets, gate.controls
-            if (placement, False) not in distinct:
-                distinct[placement, False] = sv._placement(circuit.num_qubits, *placement)
             kind = gate.kind
-            # the gather kernel's table says the register is below the cut
-            marked = isinstance(distinct[placement, False], np.ndarray) and _is_diagonal(kind)
-            if marked and (placement, True) not in distinct:
-                distinct[placement, True] = sv._diagonal_plan(circuit.num_qubits, *placement)
-            plans.append(distinct[placement, marked])
+            key = gate.targets, gate.controls, _is_diagonal(kind)
+            if key not in distinct:
+                distinct[key] = sv._placement(circuit.num_qubits, *key)
+            plans.append(distinct[key])
+            # a view plan is a tuple and an index table 2-D: only a diagonal plan is 1-D
+            marked = isinstance(plans[i], np.ndarray) and plans[i].ndim == 1
             diagonal.append(marked)
             if isinstance(kind, PauliRotation):
                 by_axes.setdefault(kind.axes, []).append(i)
             elif isinstance(kind, FixedUnitary):
                 m = sv.real_if_exact(kind.matrix)
                 if marked:
-                    m = _diagonal_form(m.diagonal(), len(gate.controls))
+                    m = _diagonal_form(m.diagonal())
                 fixed[i], fixed_adjoints[i] = m, m.conj().T
             else:
                 per_gate.append(i)
@@ -300,7 +296,6 @@ class CircuitLayout:
                 tuple(which),
                 np.array([gates[i].param_refs[0] for i in which]),
                 np.array([gates[i].kind.alpha for i in which]),
-                tuple(len(gates[i].controls) for i in which),
             )
             for axes, which in by_axes.items()
         )
@@ -319,20 +314,14 @@ def _is_diagonal(kind: GateKind) -> bool:
     return isinstance(kind, Phase)
 
 
-def _diagonal_form(diagonal: np.ndarray, num_controls: int) -> np.ndarray:
-    """A marked gate's 1-D bound form from its 2^k diagonal, for
-    ``num_controls`` controls.
-
-    2^(k+c) entries over the sub-index of ``statevector._diagonal_plan``:
-    the diagonal in the last 2^k, where every control is 1, and 1 in the
-    others. Without controls that is ``diagonal`` itself. The conjugate of
-    a form is the form of the adjoint.
+def _diagonal_form(diagonals: np.ndarray) -> np.ndarray:
+    """Marked gates' 1-D bound forms: each 2^k diagonal along the last axis
+    of ``diagonals`` followed by one 1, which the diagonal plan gives every
+    amplitude with a control bit 0. The conjugate of a form is the form of
+    the adjoint; ``apply_gate_derivative`` zeroes what a derivative's 1 meets.
     """
-    if not num_controls:
-        return diagonal
-    form = np.ones(len(diagonal) << num_controls, diagonal.dtype)
-    form[-len(diagonal):] = diagonal
-    return form
+    one = np.ones(diagonals.shape[:-1] + (1,), diagonals.dtype)
+    return np.concatenate((diagonals, one), axis=-1)
 
 
 # -- convenience constructors ------------------------------------------------
@@ -490,9 +479,10 @@ def apply_gate_derivative(
     which_param)``, which is then applied as is instead of being formed
     again, and ``plan``, when given, the gate's own placement plan, which
     ``apply_matrix`` then uses unchecked; a gate the circuit's layout marks
-    diagonal passes its 1-D derivative form with its diagonal plan. The matrix is applied with the
-    gate's controls, and the closing projection zeroes the amplitudes it
-    left alone: the derivative of a controlled gate vanishes there.
+    diagonal passes its 1-D derivative form with its diagonal plan. The
+    matrix is applied with the gate's controls, and the closing projection
+    zeroes the amplitudes it left alone: the derivative of a controlled
+    gate vanishes there.
     """
     if derivative is None:
         derivative = gate_derivative(gate, params, which_param)

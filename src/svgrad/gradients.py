@@ -67,6 +67,9 @@ DEFAULT_FD_STEP = 1e-5
 # the input, forward state, bra and probe buffer of the reference schedule
 PEAK_STATES = {"reverse": 4, "reference": 4}
 
+# indices a non-finite state or result names at most
+_NAMED = 5
+
 
 @dataclass
 class OpCounters:
@@ -129,6 +132,13 @@ def _check_call(
         raise ValueError(
             f"input state has {input_state.num_qubits} qubits, circuit {circuit.num_qubits}"
         )
+    # one pass before any clone, so a NaN or inf never reaches a silent result
+    if not np.isfinite(input_state.amplitudes).all():
+        bad = np.flatnonzero(~np.isfinite(input_state.amplitudes))
+        raise ValueError(
+            f"input state has {bad.size} non-finite amplitude(s), the first at indices "
+            + ", ".join(str(k) for k in bad[:_NAMED])
+        )
     # after the sizes, so a mismatched register is named before the Pauli expansion's cap
     if hermitian and not obs.is_hermitian:
         raise ValueError(
@@ -136,6 +146,19 @@ def _check_call(
             "(`svgrad grad --method reverse`) handles complex expectations"
         )
     return params
+
+
+def _report(values: np.ndarray, energy: complex, counters: OpCounters) -> GradientReport:
+    """The engines' report; a non-finite energy or gradient entry, as from
+    finite amplitudes whose products overflow, raises ValueError instead."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size or not np.isfinite(energy):
+        raise ValueError(
+            f"non-finite result: energy {energy}"
+            + "".join(f", p{k}={values[k]}" for k in bad[:_NAMED])
+            + "; the input state or the operator overflows"
+        )
+    return GradientReport(values, energy, counters)
 
 
 class _Binding(NamedTuple):
@@ -163,11 +186,12 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
     a rotation stack (Ry, or a Pauli string with an odd number of Y) and its
     derivatives as a whole, so the kernels take their real paths. A gate
     the layout marks diagonal (``CircuitLayout.diagonal``) binds its
-    matrix, derivative and adjoint as 1-D forms (``_diagonal_form``): an
-    all-Z rotation group takes the diagonals of its one stack, so
-    ``gates.rotation_matrix`` runs once per string as before, and a Phase
-    gate those of its per-gate matrices. The rewinds are left to
-    ``_with_rewinds``, where a 1-D form's adjoint is its conjugate.
+    matrix, derivative and adjoint as its diagonal and a closing 1
+    (``_diagonal_form``), whatever its controls: an all-Z rotation group
+    takes the diagonals of its one stack, so ``gates.rotation_matrix`` runs
+    once per string as before, and a Phase gate those of its per-gate
+    matrices. The rewinds are left to ``_with_rewinds``, where a 1-D form's
+    adjoint is its conjugate.
     """
     layout = circuit._layout
     matrices = list(layout.fixed)
@@ -189,8 +213,8 @@ def _bind(circuit: Circuit, params: np.ndarray, gradient: bool = False) -> _Bind
                 daggers = stack.conj().transpose(0, 2, 1)
             # not real whenever the stack is: Rx at angle 0 is I, its derivative -i/2 X
             forms += [real_if_exact(products), daggers]
-        if diagonal and any(group.controls):
-            forms = [[_diagonal_form(d, c) for d, c in zip(f, group.controls)] for f in forms]
+        if diagonal:
+            forms = [_diagonal_form(f) for f in forms]
         for i, m in zip(group.gates, forms[0]):
             matrices[i] = m
         if gradient:
@@ -219,16 +243,16 @@ def _with_rewinds(circuit: Circuit, binding: _Binding) -> _Binding:
 
 
 def _gate_call(circuit: Circuit, i: int, fn, *args):
-    """``real_if_exact(fn(gate, *args))`` for the circuit's gate ``i``, in
-    its 1-D form when the layout marks the gate diagonal; a ValueError is
-    prefixed with the gate's index and kind."""
+    """``real_if_exact(fn(gate, *args))`` for the circuit's gate ``i``, as
+    its diagonal and a closing 1 when the layout marks it diagonal; a
+    ValueError is prefixed with the gate's index and kind."""
     gate = circuit.gates[i]
     try:
         m = real_if_exact(fn(gate, *args))
     except ValueError as err:
         raise ValueError(f"gate {i} ({type(gate.kind).__name__}): {err}") from err
     if circuit._layout.diagonal[i]:
-        m = _diagonal_form(m.diagonal(), len(gate.controls))
+        m = _diagonal_form(m.diagonal())
     return m
 
 
@@ -318,7 +342,7 @@ def reverse_mode_gradient(
     sums, energy = _reverse_sweep(
         circuit, params, obs, input_state, binding, counters, audit or LiveStateAudit()
     )
-    return GradientReport((2.0 * sums.real).astype(complex), energy, counters)
+    return _report((2.0 * sums.real).astype(complex), energy, counters)
 
 
 def reference_gradient(
@@ -349,7 +373,7 @@ def reference_gradient(
             apply_gate_derivative(probe, gate, params, j, counters, derivative, plan=plans[i])
             _forward(probe, gates[i + 1 :], matrices[i + 1 :], plans[i + 1 :], counters)
             values[gate.param_refs[j]] += 2.0 * inner_product(bra, probe, counters).real
-    return GradientReport(values, energy, counters)
+    return _report(values, energy, counters)
 
 
 def non_hermitian_gradient(
@@ -373,7 +397,7 @@ def non_hermitian_gradient(
     sums_adj, _ = _reverse_sweep(
         circuit, params, adjoint_observable(obs), input_state, binding, counters, audit
     )
-    return GradientReport(np.conj(sums_a) + sums_adj, energy, counters)
+    return _report(np.conj(sums_a) + sums_adj, energy, counters)
 
 
 def finite_difference_gradient(
@@ -452,7 +476,7 @@ def finite_difference_gradient(
             plus_minus.append(expectation(state, obs, counters))
         values[k] = (plus_minus[0] - plus_minus[1]) / (2.0 * delta)
     _forward(prefix, gates[done:], matrices[done:], plans[done:], counters)
-    return GradientReport(values, expectation(prefix, obs, counters), counters)
+    return _report(values, expectation(prefix, obs, counters), counters)
 
 
 def uniquify_parameters(circuit: Circuit) -> tuple[Circuit, np.ndarray]:

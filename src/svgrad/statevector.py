@@ -53,25 +53,25 @@ from the dtype alone; ``real_if_exact`` decides it once per matrix, at
 binding or in ``apply_matrix``'s checks, so a complex-typed real matrix
 such as ``gates.H`` takes the real paths too. A per-call test of the
 entries would cost most of a small apply. A diagonal gate (Rz, CRz, Rzz,
-Phase, Z) skips the product: the gradient engines bind it as a 1-D form
-of 2^(k+c) entries, its diagonal where every control is 1 and 1
-elsewhere, and its plan is ``_diagonal_plan``, each amplitude's sub-index
-over the targets and then the controls, so the apply is one multiply,
-``amps *= m[plan]``. Above the cut the view kernel already scales the
-halves of a diagonal in place.
+Phase, Z) skips the product: the gradient engines bind it as a 1-D form,
+its 2^k diagonal followed by one 1, and its plan sends each amplitude to
+its target bits' sub-index where every control bit is 1 and to the closing
+1 where one is not, so the apply is one multiply, ``amps *= m[plan]``.
+Above the cut the view kernel already scales the halves of a diagonal.
 
-Each placement (qubit count, targets, controls) is validated once. Its
-plan sits in a bounded, read-only cache: the gather kernel's index table
-of at most 32 KB, or the view kernel's shape, control index and target
-axes, whichever the qubit count picks; a diagonal plan, also at most
-32 KB, sits in a cache of its own. An invalid placement raises and is
-never cached. Without a plan, a repeated gate costs a matrix-shape check,
-the cache lookup and the kernel body. A caller that already holds the
-plan and a complex or float64 matrix of the right shape passes both to
-``apply_matrix(plan=)``, and the call costs the kernel body alone; the
-gradient engines take every gate's plan from its circuit's cached layout.
-Neither kernel keeps a scratch buffer: every temporary belongs to one call,
-so distinct states can be used from distinct threads.
+Controls live in the plans alone, and one builder, ``_placement``,
+validates each placement (qubit count, targets, controls) once and builds
+every plan into a bounded, read-only cache: the gather kernel's index
+table or diagonal plan of at most 32 KB, or the view kernel's shape,
+control index and target axes, whichever the qubit count picks. An
+invalid placement raises and is never cached. Without a plan, a repeated
+gate costs a matrix-shape check, the cache lookup and the kernel body. A
+caller that already holds the plan and a complex or float64 matrix of the
+right shape passes both to ``apply_matrix(plan=)``, and the call costs the
+kernel body alone; the gradient engines take every gate's plan from its
+circuit's cached layout. Neither kernel keeps a scratch buffer: every
+temporary belongs to one call, so distinct states can be used from
+distinct threads.
 """
 from __future__ import annotations
 
@@ -235,9 +235,10 @@ def _chunks(view: np.ndarray, keep: tuple[int, ...]) -> list[np.ndarray]:
     ]
 
 
-@lru_cache(maxsize=256)  # gather tables are at most 32 KB each
-def _placement(num_qubits: int, targets: tuple, controls: tuple):
-    """Validate one ``apply_matrix`` placement and return its kernel plan.
+@lru_cache(maxsize=256)  # gather tables and diagonal plans are at most 32 KB each
+def _placement(num_qubits: int, targets: tuple, controls: tuple, diagonal: bool = False):
+    """Validate one ``apply_matrix`` placement and build its kernel plan:
+    the one builder of every plan.
 
     The qubit count picks the kernel, so a plan keeps the kernel it was
     built for. For the view kernel the plan is the view shape, the index
@@ -245,8 +246,12 @@ def _placement(num_qubits: int, targets: tuple, controls: tuple):
     the control axes are indexed away. For the gather kernel it is a
     read-only, C-contiguous (2^k, M) index table: column j holds the
     amplitude indices of one group of 2^k amplitudes that a k-target matrix
-    mixes, restricted to control bits all 1. An invalid placement raises,
-    so it is never cached.
+    mixes, restricted to control bits all 1. With ``diagonal``, which the
+    circuit layout sets from the gate kind, it is instead a read-only,
+    C-contiguous (2^N,) intp index into a 1-D form: entry i is the
+    sub-index of i's target bits where every control bit of i is 1, and
+    2^k where one is not. Callers pass all four arguments, so a placement
+    and form is one cache entry. An invalid placement raises, uncached.
     """
     for label, qubits in (("target", targets), ("control", controls)):
         for q in qubits:
@@ -270,30 +275,19 @@ def _placement(num_qubits: int, targets: tuple, controls: tuple):
     pos = tuple(axis[t] - sum(axis[c] < axis[t] for c in controls) for t in targets)
     if (1 << num_qubits) > _GATHER_MAX_AMPS:
         return shape, tuple(index), pos
-    # the amplitude indices, laid out as _apply_block lays out the amplitudes
-    view = np.arange(1 << num_qubits).reshape(shape)[tuple(index)]
-    rest = tuple(a for a in range(view.ndim) if a not in pos)
-    # a reshape that needs no copy would leave a strided view of the whole
-    # arange: the gather and the product are faster on a contiguous table
-    groups = view.transpose(pos[::-1] + rest).reshape(1 << len(targets), -1)
-    groups = np.ascontiguousarray(groups)
-    groups.flags.writeable = False
-    return groups
-
-
-@lru_cache(maxsize=256)  # at most 32 KB each, as the gather tables
-def _diagonal_plan(num_qubits: int, targets: tuple, controls: tuple) -> np.ndarray:
-    """The gather kernel's plan for a diagonal gate: each amplitude's sub-index.
-
-    A read-only, C-contiguous (2^N,) intp array whose entry i has bit j set
-    to bit ``targets[j]`` of i, and the controls' bits above those, in
-    order; ``m[plan]`` then spreads a 1-D form of 2^(k+c) entries over the
-    register. The placement must be valid (``_placement`` checks it).
-    """
-    index = np.arange(1 << num_qubits, dtype=np.intp)
-    plan = np.zeros_like(index)
-    for j, q in enumerate(targets + controls):
-        plan |= ((index >> q) & 1) << j
+    if diagonal:
+        amp = np.arange(1 << num_qubits, dtype=np.intp)
+        plan = sum(((amp >> t) & 1) << j for j, t in enumerate(targets))
+        mask = sum(1 << c for c in controls)
+        plan[amp & mask != mask] = 1 << len(targets)  # a 1-D form's closing 1
+    else:
+        # the amplitude indices, laid out as _apply_block lays out the amplitudes
+        view = np.arange(1 << num_qubits).reshape(shape)[tuple(index)]
+        rest = tuple(a for a in range(view.ndim) if a not in pos)
+        # a reshape that needs no copy would leave a strided view of the whole
+        # arange: the gather and the product are faster on a contiguous table
+        plan = view.transpose(pos[::-1] + rest).reshape(1 << len(targets), -1)
+        plan = np.ascontiguousarray(plan)
     plan.flags.writeable = False
     return plan
 
@@ -327,21 +321,18 @@ def apply_matrix(
     Without ``plan``, the placement, the matrix shape and the finiteness
     of its entries are checked; a float64 ``m`` is kept, any other is cast
     to complex, and kept as float64 when exactly real (``real_if_exact``).
-    ``plan``, when given, must be
-    ``_placement(state.num_qubits, targets, controls)``, with ``targets``
-    and ``controls`` tuples and ``m`` a finite complex or float64 2^k x 2^k
-    array: the call then checks nothing and runs the kernel body alone. A
-    float64 ``m`` takes the real paths of either kernel. For a placement
-    that takes the gather kernel, the pair may instead be
-    ``_diagonal_plan(state.num_qubits, targets, controls)`` and a finite 1-D
-    ``m`` of 2^(k+c) entries for c controls: every amplitude is multiplied
-    by ``m`` at its sub-index, so ``m`` holds the diagonal of the 2^k x 2^k
-    matrix in its last 2^k entries and 1 in the others. Without a plan a
-    1-D ``m`` is refused.
+    ``plan``, when given, must be ``_placement(state.num_qubits, targets,
+    controls, False)``, with ``targets`` and ``controls`` tuples and ``m`` a
+    finite complex or float64 2^k x 2^k array: the call then checks nothing
+    and runs the kernel body alone. A float64 ``m`` takes the real paths of
+    either kernel. Below the cut the pair may instead be the plan built
+    with ``True`` and a finite 1-D ``m``, the 2^k diagonal and a closing 1
+    that amplitudes with a control bit 0 meet. Without a plan a 1-D ``m``
+    is refused.
     """
     if plan is None:
         targets, controls = tuple(targets), tuple(controls)
-        plan = _placement(state.num_qubits, targets, controls)
+        plan = _placement(state.num_qubits, targets, controls, False)
         m = np.asarray(m)
         if m.dtype != np.float64:
             m = real_if_exact(m.astype(complex, copy=False))
@@ -352,7 +343,7 @@ def apply_matrix(
             bad = np.argwhere(~np.isfinite(m)).tolist()
             raise ValueError(f"matrix has non-finite entries at (row, column) {bad}")
     amps = state.amplitudes
-    if m.ndim == 1:  # a diagonal gate's 1-D form, on its diagonal plan
+    if m.ndim == 1:  # a diagonal gate's 1-D form, on its 1-D plan
         amps *= m[plan]
     elif isinstance(plan, np.ndarray):  # the gather kernel's index table
         if m.dtype == np.float64:

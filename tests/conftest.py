@@ -41,20 +41,18 @@ def kernel_choice(kernel: str):
     """Run the block with small states on the "gather" or the "views" kernel.
 
     Sets ``statevector._GATHER_MAX_AMPS`` (0 sends every state to the view
-    kernel) and clears the placement and diagonal-plan caches on entry and
-    on exit: a cached plan keeps the kernel it was built for, so a plan of
-    the other kernel must not leak in or out.
+    kernel) and clears the one plan cache on entry and on exit: a cached
+    plan keeps the kernel it was built for, so a plan of the other kernel
+    must not leak in or out.
     """
     default = sv._GATHER_MAX_AMPS
     sv._placement.cache_clear()
-    sv._diagonal_plan.cache_clear()
     sv._GATHER_MAX_AMPS = {"gather": default, "views": 0}[kernel]
     try:
         yield
     finally:
         sv._GATHER_MAX_AMPS = default
         sv._placement.cache_clear()
-        sv._diagonal_plan.cache_clear()
 
 
 @pytest.fixture(params=["gather", "views"])

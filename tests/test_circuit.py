@@ -439,6 +439,11 @@ def test_circuit_validation():
         Circuit(1, (rx(1, 0),), 1)  # qubit out of range
     with pytest.raises(ValueError):
         Circuit(1, (rx(0, 1),), 1)  # param out of range
+    # the register as the parser, Observable and StateVector take it
+    with pytest.raises(ValueError, match="at least one qubit"):
+        Circuit(0, (), 0)
+    with pytest.raises(ValueError, match="31 qubits exceed the limit of 30"):
+        Circuit(31, (), 0)
 
 
 # -- text format -------------------------------------------------------------------

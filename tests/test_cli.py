@@ -363,6 +363,9 @@ def test_bench_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
         ("--methods", ",", "nothing to time"),
         ("--reps", "", "nothing to time"),
         ("--reps", ",", "nothing to time"),
+        # one row per (depth, method): a repeat would write duplicate rows
+        ("--methods", "reverse,reverse", "repeated method: reverse"),
+        ("--reps", "1,1,2", "repeated repetition depth: 1"),
     ],
 )
 def test_bench_bad_argument_exit_code(tmp_path, capsys, flag, value, message):

@@ -526,6 +526,22 @@ def test_non_finite_parameters_rejected(engine, bad):
         engine(circuit, [0.3, bad], builtin_observable("z_all", 2), init_basis_state(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize(
+    "engine",
+    [reverse_mode_gradient, reference_gradient, non_hermitian_gradient, finite_difference_gradient],
+)
+def test_non_finite_state_or_result_rejected(engine, bad):
+    """A NaN or infinite amplitude is refused before any work, naming its
+    index; finite amplitudes whose squares overflow give a non-finite result,
+    which is refused instead of returned."""
+    circuit = Circuit(2, (ry(0, 0), cx(0, 1), rz(1, 1)), 2)
+    state = StateVector(2, [bad, 0, 0, 1])
+    message = "non-finite result" if np.isfinite(bad) else "non-finite amplitude.*indices 0$"
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+        engine(circuit, [0.1, 0.2], builtin_observable("z_all", 2), state)
+
+
 # -- finite differences ----------------------------------------------------------------
 
 def test_fd_constant_circuit_is_zero():
@@ -984,14 +1000,15 @@ def _diagonal_kind(kind) -> bool:
 
 def _dense(form: np.ndarray, gate: Gate) -> np.ndarray:
     """A bound form as its 2^k x 2^k matrix. A 2-D form is returned as it is;
-    a diagonal gate's 1-D form must hold 1 wherever a control is 0 and
-    becomes the diagonal matrix of its last 2^k entries."""
+    a diagonal gate's 1-D form must be 2^k + 1 entries ending in exactly 1,
+    whatever the gate's controls, and becomes the diagonal matrix of its
+    first 2^k entries."""
     if form.ndim == 2:
         return form
     dim = 1 << len(gate.targets)
-    assert form.shape == (dim << len(gate.controls),)
-    np.testing.assert_array_equal(form[:-dim], 1)
-    return np.diag(form[-dim:])
+    assert form.shape == (dim + 1,)
+    assert form[-1] == 1
+    return np.diag(form[:-1])
 
 
 def test_plan_matches_the_per_gate_api(kernel):
@@ -1026,9 +1043,9 @@ def test_plan_matches_the_per_gate_api(kernel):
         assert (i in circuit._layout.per_gate) == bound_one_by_one
         np.testing.assert_array_equal(matrices_only.matrices[i], bound.matrices[i])
         plan = circuit._layout.plans[i]
-        build = sv._diagonal_plan if marked else sv._placement
-        assert plan is build(3, gate.targets, gate.controls)
+        assert plan is sv._placement(3, gate.targets, gate.controls, _diagonal_kind(gate.kind))
         assert isinstance(plan, np.ndarray) == (kernel == "gather")
+        assert marked == (isinstance(plan, np.ndarray) and plan.ndim == 1)
         assert len(bound.derivatives[i]) == gate.kind.arity
         for j, derivative in enumerate(bound.derivatives[i]):
             expected = gate_derivative(gate, params, j)
@@ -1042,6 +1059,21 @@ def test_plan_matches_the_per_gate_api(kernel):
     assert {axes for axes, _, _ in axes_seen} == {"X", "Y", "Z", "XY", "ZZ"}
     assert {alpha for _, alpha, _ in axes_seen} == {-0.5, 0.25}
     assert {controlled for _, _, controlled in axes_seen} == {False, True}
+
+
+def test_layout_and_apply_share_one_plan_entry(kernel):
+    """The layout and ``apply_matrix`` without a plan call the one plan
+    builder alike, so a placement and form is one cache entry whichever
+    caller asks: applying the layout's non-diagonal gates misses no plan."""
+    circuit = _mixed_circuit()
+    params = np.random.default_rng(55).uniform(-np.pi, np.pi, circuit.num_params)
+    circuit._layout
+    misses = sv._placement.cache_info().misses
+    state = random_state(3, np.random.default_rng(56))
+    for gate in circuit.gates:
+        if not _diagonal_kind(gate.kind):
+            sv.apply_matrix(state, gate_matrix(gate, params), gate.targets, gate.controls)
+    assert sv._placement.cache_info().misses == misses
 
 
 def test_plan_derivative_matches_per_gate_derivative(kernel):
@@ -1131,7 +1163,6 @@ def test_second_call_validates_no_placement(monkeypatch):
         raise AssertionError(f"placement {args} validated again")
 
     monkeypatch.setattr(sv, "_placement", refuse)
-    monkeypatch.setattr(sv, "_diagonal_plan", refuse)
     for engine, first in zip(engines, warm):
         again = engine(circuit, params, obs, state)
         np.testing.assert_array_equal(again.values, first.values)

@@ -406,21 +406,26 @@ def test_float64_matrix_matches_its_complex_form(num_qubits):
 
 
 def _check_diagonal_plan(num_qubits, targets, controls, amps, rng) -> None:
-    """The diagonal plan is a read-only, C-contiguous (2^N,) intp array, and
-    a 1-D form on it gives what the gather kernel's product of the 2-D
-    diagonal matrix gives."""
-    plan = sv._diagonal_plan.__wrapped__(num_qubits, targets, controls)
+    """The diagonal plan is a read-only, C-contiguous (2^N,) intp array that
+    sends every amplitude with a control bit 0 to entry 2^k, and a 1-D form
+    on it, the diagonal and a closing 1, gives what the gather kernel's
+    product of the 2-D diagonal matrix gives."""
+    plan = sv._placement.__wrapped__(num_qubits, targets, controls, True)
     assert isinstance(plan, np.ndarray) and plan.dtype == np.intp
     assert plan.shape == (1 << num_qubits,)
     assert plan.flags.c_contiguous and not plan.flags.writeable
     dim = 1 << len(targets)
+    index = np.arange(1 << num_qubits)
+    mask = sum(1 << c for c in controls)
+    off = (index & mask) != mask
+    np.testing.assert_array_equal(plan[off], dim)
+    assert (plan[~off] < dim).all()
     diagonal = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
-    # 1 wherever a control is 0, the diagonal where every control is 1
-    form = np.concatenate([np.ones((dim << len(controls)) - dim), diagonal])
+    form = np.append(diagonal, 1.0)
     got = StateVector(num_qubits, amps.copy())
     apply_matrix(got, form, targets, controls, plan=plan)
     want = StateVector(num_qubits, amps.copy())
-    table = sv._placement(num_qubits, targets, controls)
+    table = sv._placement(num_qubits, targets, controls, False)
     assert isinstance(table, np.ndarray)
     apply_matrix(want, np.diag(diagonal), targets, controls, plan=table)
     np.testing.assert_allclose(
